@@ -917,15 +917,8 @@ impl FixIndex {
     }
 
     /// Resolves a clustered B-tree value to its stored `(ptr, xml bytes)`.
-    pub(crate) fn clustered_fetch(&self, value: u64) -> (EntryPtr, Vec<u8>) {
-        self.try_clustered_fetch(value).unwrap_or_else(|e| {
-            panic!("invariant: clustered copy {value:#x} must be readable on this path: {e}")
-        })
-    }
-
-    /// [`FixIndex::clustered_fetch`] with structured failure: heap-page
-    /// I/O errors and CRC mismatches surface as [`FixError`] (section
-    /// `"clustered"`) instead of a panic.
+    /// Heap-page I/O errors and CRC mismatches surface as [`FixError`]
+    /// (section `"clustered"`).
     pub(crate) fn try_clustered_fetch(&self, value: u64) -> Result<(EntryPtr, Vec<u8>), FixError> {
         let heap = self
             .clustered
@@ -1040,7 +1033,7 @@ mod tests {
         assert!(idx.stats().clustered_bytes > 0);
         // Every B-tree value resolves to a parseable record.
         for (_, v) in idx.btree.iter() {
-            let (ptr, xml) = idx.clustered_fetch(v);
+            let (ptr, xml) = idx.try_clustered_fetch(v).unwrap();
             assert!(ptr.doc.0 < 3);
             assert!(std::str::from_utf8(&xml).unwrap().starts_with("<bib>"));
         }
@@ -1323,7 +1316,7 @@ mod tombstone_tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("t.fixdb");
         crate::persist::save_impl(&path, &c, &idx).unwrap();
-        let (lc, li) = crate::persist::load_impl(&path).unwrap();
+        let (lc, li, _) = crate::persist::load_any(&path, None).unwrap();
         assert!(li.is_removed(DocId(2)));
         assert!(li.query(&lc, "//book/author").unwrap().results.is_empty());
         std::fs::remove_dir_all(&dir).ok();

@@ -827,7 +827,7 @@ impl FixDatabase {
     /// consumers that stop early skip the remaining evaluation work.
     pub fn query_iter(&self, query: &str) -> Result<QueryHits<'_>, FixError> {
         let idx = self.index.as_ref().ok_or(FixError::NoIndex)?;
-        Ok(idx.query_iter(&self.coll, query)?)
+        idx.query_iter(&self.coll, query)
     }
 
     /// Opens a concurrent query snapshot: a cheaply cloneable,
@@ -848,35 +848,6 @@ impl FixDatabase {
         let mut batch = WriteBatch::new();
         batch.remove_document(doc);
         self.write(batch)?;
-        Ok(())
-    }
-
-    /// Pre-WAL compatibility shim: [`FixDatabase::add_xml`] followed by a
-    /// full [`FixDatabase::save`] when path-bound, reproducing the old
-    /// save-per-mutation durability at its old full-rewrite cost.
-    #[deprecated(
-        since = "0.7.0",
-        note = "mutations are WAL-durable now; use add_xml (or write), and save() to checkpoint"
-    )]
-    pub fn add_xml_synced(&mut self, xml: &str) -> Result<DocId, FixError> {
-        let id = self.add_xml(xml)?;
-        if self.path.is_some() && self.index.is_some() {
-            self.save()?;
-        }
-        Ok(id)
-    }
-
-    /// Pre-WAL compatibility shim: [`FixDatabase::remove_document`]
-    /// followed by a full [`FixDatabase::save`] when path-bound.
-    #[deprecated(
-        since = "0.7.0",
-        note = "mutations are WAL-durable now; use remove_document (or write), and save() to checkpoint"
-    )]
-    pub fn remove_document_synced(&mut self, doc: DocId) -> Result<(), FixError> {
-        self.remove_document(doc)?;
-        if self.path.is_some() {
-            self.save()?;
-        }
         Ok(())
     }
 
@@ -1570,11 +1541,11 @@ mod tests {
         db.build(FixOptions::collection()).unwrap();
         let eager = db.query("//article[author]/ee").unwrap();
         let mut it = db.query_iter("//article[author]/ee").unwrap();
-        let first = it.next().unwrap();
+        let first = it.next().unwrap().unwrap();
         assert_eq!(first, eager.results[0]);
         // Only the first document group has been refined so far.
         assert_eq!(it.metrics().producing, 1);
-        let rest: Vec<_> = it.collect();
+        let rest: Vec<_> = it.collect::<Result<_, _>>().unwrap();
         assert_eq!(rest, eager.results[1..]);
         assert!(matches!(
             db.query_iter("not a path"),

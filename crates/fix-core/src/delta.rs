@@ -196,7 +196,7 @@ impl DeltaIndex {
     }
 
     /// Resolves a clustered delta value to its `(ptr, xml bytes)`, the
-    /// delta-side counterpart of `FixIndex::clustered_fetch`.
+    /// delta-side counterpart of `FixIndex::try_clustered_fetch`.
     pub(crate) fn fetch(&self, value: u64) -> (EntryPtr, Vec<u8>) {
         let record = self.record(value);
         let ptr = EntryPtr::from_u64(u64::from_le_bytes(

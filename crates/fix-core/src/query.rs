@@ -755,38 +755,12 @@ impl FixIndex {
     ) -> Result<(Vec<(DocId, NodeId)>, u64), FixError> {
         let mut producing = 0u64;
         let mut results: Vec<(DocId, NodeId)> = Vec::new();
-        for &Candidate { value, delta, .. } in candidates {
+        for c in candidates {
             ctl.checkpoint()?;
-            let ptr = if self.clustered.is_some() {
-                // Clustered: fetch the copy (sequential I/O — candidates
-                // arrive in key order) and recover the pointer. Delta
-                // values resolve against the delta's in-memory copy store
-                // instead of the base heap, so only the base fetch can
-                // fail.
-                if delta {
-                    self.delta.fetch(value).0
-                } else {
-                    self.try_clustered_fetch(value)?.0
-                }
-            } else {
-                EntryPtr::from_u64(value)
-            };
-            if self.removed.contains(&ptr.doc) {
+            let Some(ptr) = self.try_resolve(c)? else {
                 continue;
-            }
-            let doc = coll.try_doc(ptr.doc)?;
-            // Charge the primary-storage read for this candidate: the
-            // whole (small) document in collection mode, the pattern
-            // instance's subtree in large-document mode. The clustered
-            // variant already paid for its copy instead.
-            if self.clustered.is_none() {
-                if self.opts.depth_limit == 0 {
-                    coll.touch_document(ptr.doc);
-                } else {
-                    coll.touch_subtree(ptr.doc, NodeId(ptr.node));
-                }
-            }
-            let rs = refiner.matches_at(doc, NodeId(ptr.node));
+            };
+            let rs = self.try_matches_at(coll, refiner, ptr)?;
             if !rs.is_empty() {
                 producing += 1;
                 results.extend(rs.into_iter().map(|n| (ptr.doc, n)));
@@ -795,47 +769,82 @@ impl FixIndex {
         Ok((results, producing))
     }
 
+    /// Resolves a candidate to the entry it points at; `None` when its
+    /// document is tombstoned.
+    fn try_resolve(&self, c: &Candidate) -> Result<Option<EntryPtr>, FixError> {
+        let ptr = if self.clustered.is_some() {
+            // Clustered: fetch the copy (sequential I/O — candidates
+            // arrive in key order) and recover the pointer. Delta values
+            // resolve against the delta's in-memory copy store instead of
+            // the base heap, so only the base fetch can fail.
+            if c.delta {
+                self.delta.fetch(c.value).0
+            } else {
+                self.try_clustered_fetch(c.value)?.0
+            }
+        } else {
+            EntryPtr::from_u64(c.value)
+        };
+        Ok((!self.removed.contains(&ptr.doc)).then_some(ptr))
+    }
+
+    /// Validates the query at one resolved entry: reads its document,
+    /// charges the primary-storage read, runs the refiner.
+    fn try_matches_at(
+        &self,
+        coll: &Collection,
+        refiner: &Refiner<'_>,
+        ptr: EntryPtr,
+    ) -> Result<Vec<NodeId>, FixError> {
+        let doc = coll.try_doc(ptr.doc)?;
+        // The whole (small) document in collection mode, the pattern
+        // instance's subtree in large-document mode. The clustered
+        // variant already paid for its copy instead.
+        if self.clustered.is_none() {
+            if self.opts.depth_limit == 0 {
+                coll.touch_document(ptr.doc);
+            } else {
+                coll.touch_subtree(ptr.doc, NodeId(ptr.node));
+            }
+        }
+        Ok(refiner.matches_at(doc, NodeId(ptr.node)))
+    }
+
     /// Parses a query and returns a lazy iterator over its matches (see
     /// [`QueryHits`]).
     pub fn query_iter<'a>(
         &'a self,
         coll: &'a Collection,
         query: &str,
-    ) -> Result<QueryHits<'a>, QueryError> {
+    ) -> Result<QueryHits<'a>, FixError> {
         let plan = self.compile(coll, query)?;
-        Ok(self.hits(coll, &plan))
+        self.hits(coll, &plan)
     }
 
     /// Executes a compiled plan as a lazy iterator. Pruning (the B-tree
     /// scan and, for the clustered variant, the copy-heap fetches) happens
-    /// up front; refinement is deferred and paid one *document* at a time
-    /// as the iterator is advanced.
-    pub fn hits<'a>(&'a self, coll: &'a Collection, plan: &QueryPlan) -> QueryHits<'a> {
-        let candidates = self.scan_plan(plan);
+    /// up front — a storage failure there is this call's `Err` —
+    /// refinement is deferred and paid one *document* at a time as the
+    /// iterator is advanced.
+    pub fn hits<'a>(
+        &'a self,
+        coll: &'a Collection,
+        plan: &QueryPlan,
+    ) -> Result<QueryHits<'a>, FixError> {
+        let candidates = self.try_scan_plan(plan, &mut QueryCtl::unbounded())?;
         let cdt = candidates.len() as u64;
         let delta_cdt = candidates.iter().filter(|c| c.delta).count() as u64;
         // Resolve pointers up front, in key order, so the clustered copy
         // heap still sees sequential I/O.
         let mut ptrs: Vec<EntryPtr> = Vec::with_capacity(candidates.len());
-        for Candidate { value, delta, .. } in candidates {
-            let ptr = if self.clustered.is_some() {
-                if delta {
-                    self.delta.fetch(value).0
-                } else {
-                    self.clustered_fetch(value).0
-                }
-            } else {
-                EntryPtr::from_u64(value)
-            };
-            if !self.removed.contains(&ptr.doc) {
-                ptrs.push(ptr);
-            }
+        for c in &candidates {
+            ptrs.extend(self.try_resolve(c)?);
         }
         // Group candidates by document, ascending: the concatenation of
         // each document's sorted, deduplicated output then equals the
         // globally sorted result set the eager path produces.
         ptrs.sort_unstable();
-        QueryHits {
+        Ok(QueryHits {
             index: self,
             coll,
             refiner: Refiner::new(
@@ -844,8 +853,7 @@ impl FixIndex {
                 self.opts.depth_limit,
                 self.opts.refine == RefineOp::Twig,
             ),
-            pending: ptrs.into_iter(),
-            lookahead: None,
+            pending: ptrs.into_iter().peekable(),
             buf: Vec::new().into_iter(),
             metrics: Metrics {
                 entries: self.entry_count(),
@@ -853,7 +861,7 @@ impl FixIndex {
                 delta_candidates: delta_cdt,
                 producing: 0,
             },
-        }
+        })
     }
 }
 
@@ -861,15 +869,15 @@ impl FixIndex {
 /// sequence [`QueryOutcome::results`] would hold, without materializing it
 /// up front. Refinement runs one document group at a time: consumers that
 /// stop early (first match, top-N) skip the evaluation work for every
-/// remaining candidate document.
+/// remaining candidate document. A document whose pages fail I/O or
+/// checksum verification yields one `Err` in its place (its candidates
+/// are consumed), never a panic.
 pub struct QueryHits<'a> {
     index: &'a FixIndex,
     coll: &'a Collection,
     refiner: Refiner<'a>,
     /// Resolved candidate pointers, sorted by `(document, node)`.
-    pending: std::vec::IntoIter<EntryPtr>,
-    /// First pointer of the next document group, peeked off `pending`.
-    lookahead: Option<EntryPtr>,
+    pending: std::iter::Peekable<std::vec::IntoIter<EntryPtr>>,
     /// The current document's matches, drained front to back.
     buf: std::vec::IntoIter<(DocId, NodeId)>,
     metrics: Metrics,
@@ -883,46 +891,29 @@ impl QueryHits<'_> {
         &self.metrics
     }
 
-    /// Drains the remaining matches into an eager [`QueryOutcome`].
-    pub fn into_outcome(mut self) -> QueryOutcome {
-        let mut results: Vec<(DocId, NodeId)> = Vec::new();
-        for hit in &mut self {
-            results.push(hit);
-        }
-        QueryOutcome {
+    /// Drains the remaining matches into an eager [`QueryOutcome`], or
+    /// the first failure met on the way.
+    pub fn into_outcome(mut self) -> Result<QueryOutcome, FixError> {
+        let results = self.by_ref().collect::<Result<Vec<_>, _>>()?;
+        Ok(QueryOutcome {
             results,
             metrics: self.metrics,
-        }
+        })
     }
 
-    /// Refines the next document's candidate group into `buf`; `false`
+    /// Refines the next document's candidate group into `buf`; `Ok(false)`
     /// when no candidates remain.
-    fn refine_next_doc(&mut self) -> bool {
-        let Some(first) = self.lookahead.take().or_else(|| self.pending.next()) else {
-            return false;
+    fn refine_next_doc(&mut self) -> Result<bool, FixError> {
+        let Some(doc_id) = self.pending.peek().map(|p| p.doc) else {
+            return Ok(false);
         };
-        let doc_id = first.doc;
-        let mut group = vec![first];
-        for ptr in self.pending.by_ref() {
-            if ptr.doc != doc_id {
-                self.lookahead = Some(ptr);
-                break;
-            }
-            group.push(ptr);
-        }
-        let doc = self.coll.doc(doc_id);
+        // Consume the whole group first, so a failing document costs one
+        // `Err` and the stream resumes at the next document.
+        let group: Vec<EntryPtr> =
+            std::iter::from_fn(|| self.pending.next_if(|p| p.doc == doc_id)).collect();
         let mut nodes: Vec<NodeId> = Vec::new();
         for ptr in group {
-            // Same primary-storage charging as the eager path (clustered
-            // candidates paid for their copies at construction).
-            if self.index.clustered.is_none() {
-                if self.index.opts.depth_limit == 0 {
-                    self.coll.touch_document(ptr.doc);
-                } else {
-                    self.coll.touch_subtree(ptr.doc, NodeId(ptr.node));
-                }
-            }
-            let rs = self.refiner.matches_at(doc, NodeId(ptr.node));
+            let rs = self.index.try_matches_at(self.coll, &self.refiner, ptr)?;
             if !rs.is_empty() {
                 self.metrics.producing += 1;
                 nodes.extend(rs);
@@ -935,20 +926,22 @@ impl QueryHits<'_> {
             .map(|n| (doc_id, n))
             .collect::<Vec<_>>()
             .into_iter();
-        true
+        Ok(true)
     }
 }
 
 impl Iterator for QueryHits<'_> {
-    type Item = (DocId, NodeId);
+    type Item = Result<(DocId, NodeId), FixError>;
 
     fn next(&mut self) -> Option<Self::Item> {
         loop {
             if let Some(hit) = self.buf.next() {
-                return Some(hit);
+                return Some(Ok(hit));
             }
-            if !self.refine_next_doc() {
-                return None;
+            match self.refine_next_doc() {
+                Ok(true) => {}
+                Ok(false) => return None,
+                Err(e) => return Some(Err(e)),
             }
         }
     }
@@ -1102,9 +1095,13 @@ mod tests {
             "//nonexistent/label",
         ] {
             let eager = idx.query(&c, q).unwrap();
-            let lazy: Vec<_> = idx.query_iter(&c, q).unwrap().collect();
+            let lazy: Vec<_> = idx
+                .query_iter(&c, q)
+                .unwrap()
+                .collect::<Result<_, _>>()
+                .unwrap();
             assert_eq!(eager.results, lazy, "stream diverged on {q}");
-            let outcome = idx.query_iter(&c, q).unwrap().into_outcome();
+            let outcome = idx.query_iter(&c, q).unwrap().into_outcome().unwrap();
             assert_eq!(eager, outcome, "outcome diverged on {q}");
         }
     }
@@ -1117,7 +1114,7 @@ mod tests {
         let idx = FixIndex::build(&mut c, FixOptions::large_document(4));
         for q in ["//s[np][vp]", "//s/np", "//empty/s/np"] {
             let eager = idx.query(&c, q).unwrap();
-            let outcome = idx.query_iter(&c, q).unwrap().into_outcome();
+            let outcome = idx.query_iter(&c, q).unwrap().into_outcome().unwrap();
             assert_eq!(eager, outcome, "outcome diverged on {q}");
         }
     }

@@ -305,7 +305,7 @@ impl QuerySession {
     /// plan cache still applies, refinement is sequential-on-demand.
     pub fn query_iter(&self, query: &str) -> Result<QueryHits<'_>, FixError> {
         let plan = self.cached_plan(query)?;
-        Ok(self.index.hits(&self.coll, &plan))
+        self.index.hits(&self.coll, &plan)
     }
 
     /// Fetches or compiles the plan for `query`, tallying exactly one
@@ -456,7 +456,11 @@ mod tests {
             // Cold (miss), warm (hit), and iterator paths all agree.
             assert_eq!(session.query(q).unwrap(), seq, "cold diverged on {q}");
             assert_eq!(session.query(q).unwrap(), seq, "warm diverged on {q}");
-            let streamed: Vec<_> = session.query_iter(q).unwrap().collect();
+            let streamed: Vec<_> = session
+                .query_iter(q)
+                .unwrap()
+                .collect::<Result<_, _>>()
+                .unwrap();
             assert_eq!(streamed, seq.results, "stream diverged on {q}");
         }
     }

@@ -36,6 +36,7 @@
 //! shard-invariant sum by the soundness of the containment scan. The
 //! differential oracle in `tests/differential.rs` asserts both.
 
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -336,12 +337,15 @@ impl ShardedDatabase {
         for (i, shard) in self.shards.iter().enumerate() {
             crate::persist::save_impl(&shard_path(base, i), &shard.coll, &shard.index)?;
         }
-        let mut manifest = String::new();
-        manifest.push_str("fix-sharded v1\n");
-        manifest.push_str(&format!("router {}\n", self.router.tag()));
-        manifest.push_str(&format!("shards {}\n", self.shards.len()));
-        manifest.push_str(&format!("docs {}\n", self.locs.len()));
-        std::fs::write(base, manifest)?;
+        // The manifest goes last and atomically: a crash mid-save leaves
+        // the previous manifest (or none), never a torn one.
+        let manifest = format!(
+            "fix-sharded v1\nrouter {}\nshards {}\ndocs {}\n",
+            self.router.tag(),
+            self.shards.len(),
+            self.locs.len()
+        );
+        crate::persist::atomic_replace(base, None, |_, out| out.write_all(manifest.as_bytes()))?;
         Ok(())
     }
 
@@ -391,43 +395,56 @@ impl ShardedDatabase {
             return Err(manifest_corrupt("shard count must be at least 1"));
         }
 
-        let mut maps: Vec<Vec<u32>> = vec![Vec::new(); nshards];
-        let mut locs = Vec::with_capacity(docs as usize);
-        for global in 0..docs {
-            let shard = router.route(global, nshards);
-            locs.push((shard as u32, maps[shard].len() as u32));
-            maps[shard].push(global);
-        }
-
-        let mut loaded = Vec::with_capacity(nshards);
-        let mut opts: Option<FixOptions> = None;
-        for (i, local_to_global) in maps.into_iter().enumerate() {
+        // Nothing is sized from the manifest's numbers until the shard
+        // files back them: load first (a shard count past the files on
+        // disk fails at the first missing one), then require the document
+        // total to match before the router replay allocates.
+        let mut loaded = Vec::new();
+        for i in 0..nshards {
             let path = shard_path(base, i);
-            let (coll, index, _) = crate::persist::load_any(&path, None)?;
-            if coll.len() != local_to_global.len() {
-                return Err(FixError::Corrupt {
-                    section: "shard manifest".into(),
-                    detail: format!(
-                        "shard {i} holds {} documents but the router replay expects {}",
-                        coll.len(),
-                        local_to_global.len()
-                    ),
-                });
-            }
-            if opts.is_none() {
-                opts = Some(index.options().clone());
-            }
+            let (coll, index, _) = match crate::persist::load_any(&path, None) {
+                Err(FixError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
+                    return Err(manifest_corrupt(&format!(
+                        "manifest lists {nshards} shards but {} is missing",
+                        path.display()
+                    )));
+                }
+                other => other?,
+            };
             loaded.push(Shard {
                 coll: Arc::new(coll),
                 index: Arc::new(index),
-                local_to_global,
+                local_to_global: Vec::new(),
             });
         }
+        let held: usize = loaded.iter().map(|s| s.coll.len()).sum();
+        if held != docs as usize {
+            return Err(manifest_corrupt(&format!(
+                "manifest lists {docs} documents but the shard files hold {held}"
+            )));
+        }
+        let mut locs = Vec::with_capacity(held);
+        for global in 0..docs {
+            let shard = router.route(global, nshards);
+            let map = &mut loaded[shard].local_to_global;
+            locs.push((shard as u32, map.len() as u32));
+            map.push(global);
+        }
+        for (i, shard) in loaded.iter().enumerate() {
+            if shard.coll.len() != shard.local_to_global.len() {
+                return Err(manifest_corrupt(&format!(
+                    "shard {i} holds {} documents but the router replay expects {}",
+                    shard.coll.len(),
+                    shard.local_to_global.len()
+                )));
+            }
+        }
+        let opts = loaded[0].index.options().clone();
         Ok(ShardedDatabase {
             shards: loaded,
             router,
             locs,
-            opts: opts.expect("at least one shard"),
+            opts,
             metrics: Arc::new(MetricsRegistry::new()),
         })
     }
@@ -735,20 +752,34 @@ mod tests {
     fn open_rejects_bad_manifests() {
         let dir = std::env::temp_dir();
         let base = dir.join(format!("fix-shard-badmanifest-{}", std::process::id()));
+        // A real one-shard, two-document layout, so the count checks are
+        // reached with the shard file in place.
+        ShardedDatabase::build(&DOCS[..2], 1, ShardRouter::Hash, FixOptions::collection())
+            .unwrap()
+            .save(&base)
+            .unwrap();
+        assert_eq!(ShardedDatabase::open(&base).unwrap().doc_count(), 2);
         for bad in [
             "",
-            "fix-sharded v2\nrouter hash\nshards 1\ndocs 0\n",
-            "fix-sharded v1\nrouter bogus\nshards 1\ndocs 0\n",
-            "fix-sharded v1\nrouter hash\nshards 0\ndocs 0\n",
+            "fix-sharded v2\nrouter hash\nshards 1\ndocs 2\n",
+            "fix-sharded v1\nrouter bogus\nshards 1\ndocs 2\n",
+            "fix-sharded v1\nrouter hash\nshards 0\ndocs 2\n",
             "fix-sharded v1\nrouter hash\nshards 1\n",
-            "fix-sharded v1\nrouter hash\nshards 1\ndocs 0\nwat\n",
+            "fix-sharded v1\nrouter hash\nshards 1\ndocs 2\nwat\n",
+            // Counts nothing on disk backs must not size an allocation.
+            "fix-sharded v1\nrouter hash\nshards 1000000000000000000\ndocs 2\n",
+            "fix-sharded v1\nrouter hash\nshards 1\ndocs 4000000000\n",
         ] {
             std::fs::write(&base, bad).unwrap();
             assert!(
-                matches!(ShardedDatabase::open(&base), Err(FixError::Corrupt { .. })),
+                matches!(
+                    ShardedDatabase::open(&base),
+                    Err(FixError::Corrupt { ref section, .. }) if section == "shard manifest"
+                ),
                 "manifest should be rejected: {bad:?}"
             );
         }
         let _ = std::fs::remove_file(&base);
+        let _ = std::fs::remove_file(shard_path(&base, 0));
     }
 }

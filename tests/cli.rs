@@ -553,6 +553,16 @@ fn bad_usage_fails_cleanly() {
 
     let out = fixdb().args(["gen", "bogus"]).output().unwrap();
     assert!(!out.status.success());
+
+    // A manifest whose counts nothing on disk backs is a typed error, not
+    // a `capacity overflow` panic (exit code 101).
+    let manifest = workdir("bad-manifest").join("m");
+    let text = "fix-sharded v1\nrouter hash\nshards 1000000000000000000\ndocs 0\n";
+    std::fs::write(&manifest, text).unwrap();
+    let out = fixdb().arg("serve").arg(&manifest).output().unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("shard manifest"), "{stderr}");
 }
 
 #[test]

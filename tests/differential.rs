@@ -532,6 +532,22 @@ proptest! {
                     "survivor answered {} but the oracle rejects it", q
                 ),
             }
+
+            // Same contract for the lazy path, whether the fault lands
+            // while constructing the iterator (scan, copy fetches) or
+            // while draining it (document reads).
+            set_read_fault(Some(ReadFaultPlan::new(nth, kind)));
+            let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
+                || reopened.query_iter(q).and_then(|hits| hits.into_outcome()),
+            ));
+            set_read_fault(None);
+            prop_assert!(res.is_ok(), "query_iter {} panicked under read fault {:?} at {}", q, kind, nth);
+            if let (Ok(Ok(a)), Ok(b)) = (res, truth.query(q)) {
+                prop_assert_eq!(
+                    &a.results, &b.results,
+                    "lazy fault survivor answered {} wrong (fault {:?} at {})", q, kind, nth
+                );
+            }
         }
         let _ = std::fs::remove_file(&path);
     }

@@ -240,3 +240,50 @@ fn paged_database_accepts_inserts_and_resaves() {
         "resaved paged database lost the delta insert"
     );
 }
+
+/// The lazy path's fault contract, pinned deterministically: tear each
+/// data page of a saved database in turn and `query_iter` either returns
+/// the exact answer (the page was not needed) or a typed
+/// `FixError::Corrupt` — while constructing the iterator (B-tree scan,
+/// clustered copy fetch) or while draining it (document reads) — and
+/// never panics.
+#[test]
+fn query_iter_reports_a_torn_page_as_corrupt() {
+    const PAGE: usize = fix::storage::PAGE_SIZE;
+    let docs = corpus(0.02);
+    let q = QUERIES[0];
+    for clustered in [false, true] {
+        let opts = FixOptions::builder()
+            .clustered(clustered)
+            .storage(StorageMode::Paged)
+            .pool_pages(16)
+            .build();
+        let mut mem = build_db(&docs, opts);
+        let want = mem.query(q).unwrap().results;
+        let path = TempPath::new(&format!("lazy-torn-{clustered}"));
+        mem.save_as(&path.0).unwrap();
+        let clean = std::fs::read(&path.0).unwrap();
+        let meta_off = u64::from_le_bytes(clean[20..28].try_into().unwrap()) as usize;
+
+        let (mut at_construction, mut while_draining) = (0, 0);
+        for page in 1..meta_off / PAGE {
+            let mut torn = clean.clone();
+            torn[page * PAGE + PAGE / 2] ^= 0xFF;
+            std::fs::write(&path.0, &torn).unwrap();
+            let db = FixDatabase::open(&path.0).unwrap();
+            match db.query_iter(q) {
+                Err(fix::FixError::Corrupt { .. }) => at_construction += 1,
+                Err(e) => panic!("page {page}: untyped failure {e}"),
+                Ok(hits) => match hits.into_outcome() {
+                    Ok(out) => assert_eq!(out.results, want, "page {page}: wrong answer"),
+                    Err(fix::FixError::Corrupt { .. }) => while_draining += 1,
+                    Err(e) => panic!("page {page}: untyped failure {e}"),
+                },
+            }
+        }
+        assert!(
+            at_construction > 0 && while_draining > 0,
+            "clustered={clustered}: faults seen at construction {at_construction}, draining {while_draining}"
+        );
+    }
+}

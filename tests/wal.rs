@@ -349,24 +349,3 @@ fn durability_modes_agree_after_replay() {
         "durability is a performance knob, not a semantics knob"
     );
 }
-
-/// The deprecated save-per-mutation shims still work: they mutate and
-/// checkpoint, so even deleting the log behind their back loses nothing.
-#[test]
-fn deprecated_synced_shims_still_checkpoint() {
-    let path = scratch("synced-shims");
-    let mut db = base(&path, FixOptions::builder().compact_ratio(0.0).build());
-    #[allow(deprecated)]
-    db.add_xml_synced("<r><c/><c/></r>").unwrap();
-    #[allow(deprecated)]
-    db.remove_document_synced(DocId(0)).unwrap();
-    let live_len = db.len();
-    let live = answers(&db);
-    drop(db);
-
-    // The shims checkpointed: the log is not needed to recover.
-    std::fs::remove_dir_all(wal_dir(&path)).ok();
-    let db = FixDatabase::open(&path).unwrap();
-    assert_eq!(db.len(), live_len);
-    assert_eq!(answers(&db), live);
-}
