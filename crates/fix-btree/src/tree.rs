@@ -594,21 +594,18 @@ impl RangeScan<'_> {
     pub fn take_error(&mut self) -> Option<StorageError> {
         self.error.take()
     }
-}
 
-/// One step of a guard-held scan: yield an entry, hop to the next leaf,
-/// or finish.
-enum ScanStep {
-    Yield(Vec<u8>, u64),
-    Advance(u64),
-    Done,
-}
-
-impl Iterator for RangeScan<'_> {
-    type Item = (Vec<u8>, u64);
-
-    fn next(&mut self) -> Option<Self::Item> {
+    /// Advances the scan, lending the next entry's key into `key` (exactly
+    /// the tree's key length) and returning its value; `None` once the
+    /// range is exhausted or a leaf-chain read failed. This is the scan:
+    /// nothing is allocated per entry, and the [`Iterator`] form is this
+    /// plus a fresh key buffer per item.
+    ///
+    /// # Panics
+    /// Panics if `key.len()` differs from the tree's key length.
+    pub fn next_into(&mut self, key: &mut [u8]) -> Option<u64> {
         let key_len = self.tree.key_len;
+        assert_eq!(key.len(), key_len, "key length mismatch");
         loop {
             let guard = self.leaf.take()?;
             let step = {
@@ -618,26 +615,26 @@ impl Iterator for RangeScan<'_> {
                 if self.pos < count {
                     let stride = key_len + 8;
                     let off = HDR + self.pos * stride;
-                    let key = &b[off..off + key_len];
+                    let k = &b[off..off + key_len];
                     match &self.end {
-                        Some(end) if key >= end.as_slice() => ScanStep::Done,
-                        _ => ScanStep::Yield(
-                            key.to_vec(),
-                            u64::from_le_bytes(
+                        Some(end) if k >= end.as_slice() => ScanStep::Done,
+                        _ => {
+                            key.copy_from_slice(k);
+                            ScanStep::Yield(u64::from_le_bytes(
                                 b[off + key_len..off + stride].try_into().expect("8"),
-                            ),
-                        ),
+                            ))
+                        }
                     }
                 } else {
                     ScanStep::Advance(u64::from_le_bytes(b[4..12].try_into().expect("8")))
                 }
             };
             match step {
-                ScanStep::Yield(k, v) => {
+                ScanStep::Yield(v) => {
                     self.pos += 1;
                     self.yielded += 1;
                     self.leaf = Some(guard);
-                    return Some((k, v));
+                    return Some(v);
                 }
                 ScanStep::Done | ScanStep::Advance(NO_PAGE) => return None,
                 ScanStep::Advance(next) => {
@@ -655,6 +652,23 @@ impl Iterator for RangeScan<'_> {
                 }
             }
         }
+    }
+}
+
+/// One step of a guard-held scan: yield an entry's value (its key already
+/// lent out), hop to the next leaf, or finish.
+enum ScanStep {
+    Yield(u64),
+    Advance(u64),
+    Done,
+}
+
+impl Iterator for RangeScan<'_> {
+    type Item = (Vec<u8>, u64);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let mut key = vec![0u8; self.tree.key_len];
+        self.next_into(&mut key).map(|v| (key, v))
     }
 }
 
@@ -907,6 +921,16 @@ mod tests {
         scan.next();
         drop(scan);
         assert_eq!(t.scan_stats().entries_scanned, 113);
+        // The lending form counts the same way: nothing until the drop.
+        let mut scan = t.range(&key8(0), None);
+        let mut key = [0u8; 8];
+        for want in 0..3 {
+            assert_eq!(scan.next_into(&mut key), Some(want));
+            assert_eq!(key, want.to_be_bytes());
+        }
+        assert_eq!(t.scan_stats().entries_scanned, 113);
+        drop(scan);
+        assert_eq!(t.scan_stats().entries_scanned, 116);
     }
 
     #[test]
@@ -924,6 +948,69 @@ mod tests {
         assert_eq!(snap.gauge("fix_btree_scans"), Some(1));
         assert_eq!(snap.gauge("fix_btree_scanned_entries"), Some(50));
         assert!(snap.gauge("fix_btree_height").unwrap() >= 1);
+    }
+
+    /// Drains `scan` through the lending form, reusing one key buffer.
+    fn drain_lending(scan: &mut RangeScan<'_>, key_len: usize) -> Vec<(Vec<u8>, u64)> {
+        let mut key = vec![0u8; key_len];
+        let mut out = Vec::new();
+        while let Some(v) = scan.next_into(&mut key) {
+            out.push((key.clone(), v));
+        }
+        out
+    }
+
+    #[test]
+    fn lending_scan_equals_the_iterator_and_the_model_on_random_ranges() {
+        use rand::{Rng, SeedableRng};
+        use rand_chacha::ChaCha8Rng;
+        let mut rng = ChaCha8Rng::seed_from_u64(16);
+        // 511 eight-byte-key entries fill a leaf: 0, 1, exactly one leaf,
+        // one past it, and several leaves.
+        for n in [0usize, 1, 511, 512, 2000] {
+            let mut model: Vec<(Vec<u8>, u64)> = (0..n)
+                .map(|i| (key8(rng.gen_range(0..4000u64)), i as u64))
+                .collect();
+            model.sort();
+            let mut inserted = tree(8);
+            for (k, v) in &model {
+                inserted.insert(k, *v);
+            }
+            let bulk = BTree::bulk_load(PageSpace::in_memory(64), 8, model.clone());
+            for _ in 0..40 {
+                let lo = rng.gen_range(0..4100u64);
+                // Empty (hi ≤ lo), mid-leaf, multi-leaf and unbounded ends.
+                let hi = match rng.gen_range(0..4u32) {
+                    0 => None,
+                    1 => Some(key8(lo.saturating_sub(rng.gen_range(0..3u64)))),
+                    _ => Some(key8(lo + rng.gen_range(0..3000u64))),
+                };
+                let (lo, hi) = (key8(lo), hi.as_deref());
+                let want: Vec<_> = model
+                    .iter()
+                    .filter(|(k, _)| k >= &lo && hi.is_none_or(|h| k.as_slice() < h))
+                    .cloned()
+                    .collect();
+                for t in [&inserted, &bulk] {
+                    let lent = drain_lending(&mut t.range(&lo, hi), 8);
+                    assert_eq!(lent, t.range(&lo, hi).collect::<Vec<_>>(), "n={n}");
+                    assert!(lent.iter().map(|(k, _)| k).eq(want.iter().map(|(k, _)| k)));
+                    // bulk_load keeps the model's order among equal keys,
+                    // so values agree too; insertion may permute them.
+                    if std::ptr::eq(t, &bulk) {
+                        assert_eq!(lent, want, "n={n}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "key length mismatch")]
+    fn lending_scan_rejects_a_wrong_sized_buffer() {
+        let mut t = tree(8);
+        t.insert(&key8(1), 1);
+        t.range(&key8(0), None).next_into(&mut [0u8; 7]);
     }
 
     #[test]
@@ -970,6 +1057,16 @@ mod tests {
         assert_eq!(got.len(), 511, "first leaf yielded, second truncated");
         let err = scan.take_error().expect("damage must be reported");
         assert!(matches!(err, StorageError::Corrupt { .. }), "{err}");
+        // The lending form truncates and parks at the same entry (the
+        // damaged page is quarantined now; that is still `Corrupt`).
+        let mut scan = t.try_range(&key8(0), None).unwrap();
+        assert_eq!(drain_lending(&mut scan, 8), got);
+        let err = scan.take_error().expect("damage must be reported");
+        assert!(matches!(err, StorageError::Corrupt { .. }), "{err}");
+        assert!(
+            scan.next_into(&mut [0u8; 8]).is_none(),
+            "a failed scan stays ended"
+        );
         // A bounded scan that never reaches the damage reports nothing.
         let mut scan = t.try_range(&key8(0), Some(&key8(100))).unwrap();
         assert_eq!(scan.by_ref().count(), 100);

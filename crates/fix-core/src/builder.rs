@@ -916,30 +916,28 @@ impl FixIndex {
         self.pool.reset_stats();
     }
 
-    /// Resolves a clustered B-tree value to its stored `(ptr, xml bytes)`.
-    /// Heap-page I/O errors and CRC mismatches surface as [`FixError`]
-    /// (section `"clustered"`).
-    pub(crate) fn try_clustered_fetch(&self, value: u64) -> Result<(EntryPtr, Vec<u8>), FixError> {
+    /// Resolves a clustered B-tree value to the entry pointer heading its
+    /// copy record, read under the heap page's guard without copying the
+    /// record out. Heap-page I/O errors and CRC mismatches surface as
+    /// [`FixError`] (section `"clustered"`).
+    pub(crate) fn try_clustered_ptr(&self, value: u64) -> Result<EntryPtr, FixError> {
         let heap = self
             .clustered
             .as_ref()
             .expect("invariant: clustered fetch requires a clustered index");
-        let record = heap
-            .try_get(RecordId::from_u64(value))
+        let mut ptr = [0u8; 8];
+        let len = heap
+            .try_read_prefix(RecordId::from_u64(value), &mut ptr)
             .map_err(|e| FixError::from_storage("clustered", e))?;
-        if record.len() < 8 {
+        if len < ptr.len() {
             return Err(FixError::Corrupt {
                 section: "clustered".to_string(),
                 detail: format!(
-                    "copy record {value:#x} is {} bytes, shorter than its 8-byte pointer",
-                    record.len()
+                    "copy record {value:#x} is {len} bytes, shorter than its 8-byte pointer"
                 ),
             });
         }
-        let ptr = EntryPtr::from_u64(u64::from_le_bytes(
-            record[0..8].try_into().expect("length checked above"),
-        ));
-        Ok((ptr, record[8..].to_vec()))
+        Ok(EntryPtr::from_u64(u64::from_le_bytes(ptr)))
     }
 }
 
@@ -1032,10 +1030,43 @@ mod tests {
         assert_eq!(idx.entry_count(), 3);
         assert!(idx.stats().clustered_bytes > 0);
         // Every B-tree value resolves to a parseable record.
+        let heap = idx.clustered.as_ref().unwrap();
         for (_, v) in idx.btree.iter() {
-            let (ptr, xml) = idx.try_clustered_fetch(v).unwrap();
+            let record = heap.get(RecordId::from_u64(v));
+            let ptr = idx.try_clustered_ptr(v).unwrap();
+            assert_eq!(ptr.to_u64().to_le_bytes(), record[..8]);
             assert!(ptr.doc.0 < 3);
-            assert!(std::str::from_utf8(&xml).unwrap().starts_with("<bib>"));
+            assert!(std::str::from_utf8(&record[8..])
+                .unwrap()
+                .starts_with("<bib>"));
+        }
+    }
+
+    #[test]
+    fn damaged_clustered_values_are_typed_errors() {
+        let mut c = small_collection();
+        let mut idx = FixIndex::build(&mut c, FixOptions::collection().clustered());
+        let heap = idx.clustered.as_mut().unwrap();
+        let short = heap.append(b"1234567");
+        let empty = heap.append(b"");
+        let dangling = RecordId { slot: 999, ..short };
+        let off_the_end = RecordId {
+            page: fix_storage::PageId(short.page.0 + 1000),
+            slot: 0,
+        };
+        for (rid, what) in [
+            (short, "is 7 bytes, shorter than its 8-byte pointer"),
+            (empty, "is 0 bytes, shorter than its 8-byte pointer"),
+            (dangling, "dangling record id"),
+            (off_the_end, "out of range"),
+        ] {
+            match idx.try_clustered_ptr(rid.to_u64()) {
+                Err(FixError::Corrupt { section, detail }) => {
+                    assert_eq!(section, "clustered");
+                    assert!(detail.contains(what), "{detail}");
+                }
+                other => panic!("{what}: {other:?}"),
+            }
         }
     }
 

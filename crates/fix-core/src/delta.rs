@@ -195,14 +195,15 @@ impl DeltaIndex {
         &self.copies.as_ref().expect("clustered delta")[value as usize]
     }
 
-    /// Resolves a clustered delta value to its `(ptr, xml bytes)`, the
-    /// delta-side counterpart of `FixIndex::try_clustered_fetch`.
-    pub(crate) fn fetch(&self, value: u64) -> (EntryPtr, Vec<u8>) {
-        let record = self.record(value);
-        let ptr = EntryPtr::from_u64(u64::from_le_bytes(
-            record[0..8].try_into().expect("8-byte ptr prefix"),
-        ));
-        (ptr, record[8..].to_vec())
+    /// Resolves a clustered delta value to the entry pointer heading its
+    /// copy record, the delta-side counterpart of
+    /// `FixIndex::try_clustered_ptr`.
+    pub(crate) fn ptr(&self, value: u64) -> EntryPtr {
+        EntryPtr::from_u64(u64::from_le_bytes(
+            self.record(value)[0..8]
+                .try_into()
+                .expect("8-byte ptr prefix"),
+        ))
     }
 
     /// The copy records in insertion order (compaction and diagnostics).
@@ -284,9 +285,8 @@ mod tests {
         let mut record = ptr.to_u64().to_le_bytes().to_vec();
         record.extend_from_slice(b"<a/>");
         d.push_record(&[2u8; KEY_LEN], record);
-        let (p, xml) = d.fetch(0);
-        assert_eq!(p, ptr);
-        assert_eq!(xml, b"<a/>");
+        assert_eq!(d.ptr(0), ptr);
+        assert_eq!(&d.record(0)[8..], b"<a/>");
         assert_eq!(d.copies().unwrap().len(), 1);
     }
 
@@ -343,8 +343,8 @@ mod tests {
             d.seal();
         }
         for (_, v) in d.iter() {
-            let (ptr, xml) = d.fetch(v);
-            assert_eq!(xml, format!("<d{}/>", ptr.doc.0).as_bytes());
+            let xml = format!("<d{}/>", d.ptr(v).doc.0);
+            assert_eq!(&d.record(v)[8..], xml.as_bytes());
         }
     }
 }

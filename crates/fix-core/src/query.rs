@@ -24,7 +24,7 @@ use fix_xpath::{decompose, parse_path, Axis, PathExpr, TwigError, TwigQuery, XPa
 use crate::builder::FixIndex;
 use crate::collection::{Collection, DocId};
 use crate::error::FixError;
-use crate::key::{EntryPtr, IndexKey};
+use crate::key::{EntryPtr, IndexKey, KEY_LEN};
 use crate::metrics::Metrics;
 use crate::options::RefineOp;
 
@@ -409,9 +409,12 @@ impl FixIndex {
             self.btree.try_iter().map_err(storage)?
         };
         let mut base: Vec<Candidate> = Vec::new();
+        let mut k = [0u8; KEY_LEN];
         loop {
             ctl.checkpoint()?;
-            let Some((k, v)) = scan.next() else { break };
+            let Some(v) = scan.next_into(&mut k) else {
+                break;
+            };
             let c = Candidate {
                 key: IndexKey::decode(&k),
                 value: v,
@@ -773,14 +776,14 @@ impl FixIndex {
     /// document is tombstoned.
     fn try_resolve(&self, c: &Candidate) -> Result<Option<EntryPtr>, FixError> {
         let ptr = if self.clustered.is_some() {
-            // Clustered: fetch the copy (sequential I/O — candidates
-            // arrive in key order) and recover the pointer. Delta values
-            // resolve against the delta's in-memory copy store instead of
-            // the base heap, so only the base fetch can fail.
+            // Clustered: read the pointer off the head of the copy
+            // (sequential I/O — candidates arrive in key order). Delta
+            // values resolve against the delta's in-memory copy store
+            // instead of the base heap, so only the base read can fail.
             if c.delta {
-                self.delta.fetch(c.value).0
+                self.delta.ptr(c.value)
             } else {
-                self.try_clustered_fetch(c.value)?.0
+                self.try_clustered_ptr(c.value)?
             }
         } else {
             EntryPtr::from_u64(c.value)

@@ -202,9 +202,7 @@ impl HeapFile {
         })
     }
 
-    /// Fetches a record. The slot page is pinned once: slot lookup and
-    /// inline data copy happen under a single page guard, and only
-    /// overflow records touch further pages (one pin per chain hop).
+    /// Fetches a record.
     ///
     /// # Panics
     /// Panics on a dangling record id or an unreadable/corrupt page. Use
@@ -220,11 +218,40 @@ impl HeapFile {
     /// [`StorageError`] instead of panicking — the salvage path reads every
     /// record this way so one torn page loses one record, not the file.
     pub fn try_get(&self, id: RecordId) -> Result<Vec<u8>, StorageError> {
+        let mut out = Vec::new();
+        self.read(id, usize::MAX, |chunk| out.extend_from_slice(chunk))?;
+        Ok(out)
+    }
+
+    /// Copies the first `out.len()` bytes of a record into `out` (fewer
+    /// when the record is shorter) and returns the record's full length.
+    /// Nothing is allocated and only the pages holding the prefix are
+    /// pinned — the clustered index reads its 8-byte entry pointers this
+    /// way. Failures are [`HeapFile::try_get`]'s.
+    pub fn try_read_prefix(&self, id: RecordId, out: &mut [u8]) -> Result<usize, StorageError> {
+        let mut filled = 0;
+        self.read(id, out.len(), |chunk| {
+            out[filled..filled + chunk.len()].copy_from_slice(chunk);
+            filled += chunk.len();
+        })
+    }
+
+    /// Feeds the first `limit` bytes of record `id` to `sink`, one pinned
+    /// page at a time, and returns the record's full length. The slot
+    /// page is pinned once: slot lookup and inline data happen under a
+    /// single page guard, and only overflow records touch further pages
+    /// (one pin per chain hop that `limit` reaches).
+    fn read(
+        &self,
+        id: RecordId,
+        limit: usize,
+        mut sink: impl FnMut(&[u8]),
+    ) -> Result<usize, StorageError> {
         let corrupt = |detail: String| StorageError::Corrupt {
             page: id.page,
             detail,
         };
-        let overflow = {
+        let (first, total) = {
             let guard = self.pool.try_pin(id.page)?;
             let b = guard.data();
             let slot_count = get_u16(&b, 0);
@@ -241,32 +268,33 @@ impl HeapFile {
                 if off + OVERFLOW_PAYLOAD > PAGE_SIZE {
                     return Err(corrupt("overflow stub out of bounds".into()));
                 }
-                (get_u64(&b, off), get_u32(&b, off + 8))
+                (get_u64(&b, off), get_u32(&b, off + 8) as usize)
             } else {
-                if off + len as usize > PAGE_SIZE {
+                let len = len as usize;
+                if off + len > PAGE_SIZE {
                     return Err(corrupt("record slot out of bounds".into()));
                 }
-                return Ok(b[off..off + len as usize].to_vec());
+                sink(&b[off..off + len.min(limit)]);
+                return Ok(len);
             }
         };
-        let (first, total) = overflow;
-        let mut out = Vec::with_capacity(total as usize);
+        let want = total.min(limit);
+        let mut done = 0;
         let mut page = first;
-        while page != u64::MAX && out.len() < total as usize {
-            let remaining = total as usize - out.len();
-            let take = remaining.min(PAGE_SIZE - OV_HDR);
+        while page != u64::MAX && done < want {
+            let take = (want - done).min(PAGE_SIZE - OV_HDR);
             let guard = self.pool.try_pin(PageId(page))?;
             let b = guard.data();
-            out.extend_from_slice(&b[OV_HDR..OV_HDR + take]);
+            sink(&b[OV_HDR..OV_HDR + take]);
+            done += take;
             page = get_u64(&b, 0);
         }
-        if out.len() != total as usize {
+        if done != want {
             return Err(corrupt(format!(
-                "truncated overflow chain ({} of {total} bytes)",
-                out.len()
+                "truncated overflow chain ({done} of {total} bytes)"
             )));
         }
-        Ok(out)
+        Ok(total)
     }
 
     /// Scans all records in insertion order.
@@ -396,6 +424,105 @@ mod edge_tests {
         assert_eq!(h.get(id), big);
         assert_eq!(h.get(small), b"before");
         assert_eq!(h.get(after), b"after");
+    }
+
+    /// Inline (shorter than, equal to and longer than the prefix),
+    /// zero-length and overflow-chain records, in one heap.
+    fn mixed_records(h: &mut HeapFile) -> Vec<(RecordId, Vec<u8>)> {
+        [0usize, 3, 8, 9, 700, 20_000, 8, 0]
+            .iter()
+            .enumerate()
+            .map(|(i, &len)| {
+                let payload: Vec<u8> = (0..len).map(|j| (i * 37 + j) as u8).collect();
+                (h.append(&payload), payload)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn prefix_agrees_with_the_full_read() {
+        let mut h = HeapFile::new(PageSpace::in_memory(4));
+        for (id, want) in mixed_records(&mut h) {
+            // 8 bytes is the clustered pointer; 10 000 crosses a chain hop.
+            for cap in [0usize, 8, 10_000] {
+                let mut out = vec![0xEEu8; cap];
+                let len = h.try_read_prefix(id, &mut out).unwrap();
+                assert_eq!(len, want.len());
+                let n = cap.min(len);
+                assert_eq!(out[..n], h.try_get(id).unwrap()[..n]);
+                assert!(out[n..].iter().all(|&b| b == 0xEE), "wrote past the record");
+            }
+        }
+        let dangling = RecordId {
+            page: PageId(0),
+            slot: 999,
+        };
+        assert_eq!(
+            h.try_read_prefix(dangling, &mut [0u8; 8])
+                .unwrap_err()
+                .to_string(),
+            h.try_get(dangling).unwrap_err().to_string()
+        );
+    }
+
+    #[test]
+    fn prefix_fails_exactly_like_the_full_read_under_read_faults() {
+        use crate::fault::{set_read_fault, ReadFaultKind, ReadFaultPlan};
+        use crate::pool::{BufferPool, FileBackend};
+        let dir = std::env::temp_dir().join(format!("fix-heap-prefix-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("heap.pages");
+        let (heap_dir, records, crcs) = {
+            let pool = BufferPool::shared(64).attach(Box::new(FileBackend::create(&path).unwrap()));
+            let mut h = HeapFile::new(pool.clone());
+            let records = mixed_records(&mut h);
+            pool.flush().unwrap();
+            let crcs: Vec<u32> = (0..pool.num_pages())
+                .map(|i| pool.with_page(PageId(i), crate::crc::crc32))
+                .collect();
+            (h.directory(), records, crcs)
+        };
+        // A fresh verified pool per probe: every read is physical, and a
+        // quarantine from one probe cannot leak into the next.
+        let open = || {
+            let pool = BufferPool::shared(64)
+                .attach_verified(Box::new(FileBackend::open(&path).unwrap()), crcs.clone());
+            HeapFile::attach(pool, heap_dir.clone())
+        };
+        for kind in [
+            ReadFaultKind::Error,
+            ReadFaultKind::Short,
+            ReadFaultKind::Torn { keep: 10 },
+        ] {
+            for (id, want) in &records {
+                // Boundary 0 is the slot page, 1 the first chain page: the
+                // pages an 8-byte prefix needs. A fault further down the
+                // chain fails only the read that goes there.
+                for nth in 0..3 {
+                    let full = {
+                        let h = open();
+                        set_read_fault(Some(ReadFaultPlan::new(nth, kind)));
+                        let r = h.try_get(*id);
+                        set_read_fault(None);
+                        r.map(|rec| rec.len()).map_err(|e| e.to_string())
+                    };
+                    let prefix = {
+                        let h = open();
+                        let mut out = [0u8; 8];
+                        set_read_fault(Some(ReadFaultPlan::new(nth, kind)));
+                        let r = h.try_read_prefix(*id, &mut out);
+                        set_read_fault(None);
+                        r.map_err(|e| e.to_string())
+                    };
+                    if nth < 2 {
+                        assert_eq!(prefix, full, "{kind:?} at boundary {nth}, {id:?}");
+                    } else {
+                        assert_eq!(prefix, Ok(want.len()), "prefix read past its pages");
+                    }
+                }
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

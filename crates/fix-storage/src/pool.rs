@@ -24,8 +24,8 @@
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
 use std::ops::{Deref, DerefMut};
+use std::os::unix::fs::FileExt;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -154,7 +154,8 @@ impl StorageBackend for MemBackend {
 
 /// File-backed pages. Page 0 lives at byte `base` in the file, which lets
 /// the v4 paged database format reserve a superblock (and lets the page
-/// region coexist with a metadata tail after it).
+/// region coexist with a metadata tail after it). Every page transfer is
+/// one positioned `pread`/`pwrite`; the file cursor is never used.
 #[derive(Debug)]
 pub struct FileBackend {
     file: File,
@@ -217,8 +218,7 @@ impl FileBackend {
 impl StorageBackend for FileBackend {
     fn read_page(&mut self, id: PageId, buf: &mut [u8]) -> Result<(), StorageError> {
         let off = self.check(id)?;
-        self.file.seek(SeekFrom::Start(off))?;
-        self.file.read_exact(buf)?;
+        self.file.read_exact_at(buf, off)?;
         // One page fetch = one injectable read boundary (no-op unless a
         // test armed a plan via `fault::set_read_fault`).
         crate::fault::read_boundary(buf)?;
@@ -227,16 +227,15 @@ impl StorageBackend for FileBackend {
 
     fn write_page(&mut self, id: PageId, buf: &[u8]) -> Result<(), StorageError> {
         let off = self.check(id)?;
-        self.file.seek(SeekFrom::Start(off))?;
-        self.file.write_all(buf)?;
+        self.file.write_all_at(buf, off)?;
         Ok(())
     }
 
     fn allocate(&mut self) -> Result<PageId, StorageError> {
         let id = PageId(self.pages);
         self.pages += 1;
-        self.file.seek(SeekFrom::Start(self.base + id.offset()))?;
-        self.file.write_all(&[0u8; PAGE_SIZE])?;
+        self.file
+            .write_all_at(&[0u8; PAGE_SIZE], self.base + id.offset())?;
         Ok(id)
     }
 
@@ -1097,9 +1096,8 @@ mod tests {
         }
         // Flip a byte in page 1 on disk.
         {
-            let mut f = OpenOptions::new().write(true).open(&path).unwrap();
-            f.seek(SeekFrom::Start(PAGE_SIZE as u64 + 17)).unwrap();
-            f.write_all(&[0xFF]).unwrap();
+            let f = OpenOptions::new().write(true).open(&path).unwrap();
+            f.write_all_at(&[0xFF], PAGE_SIZE as u64 + 17).unwrap();
         }
         let pool = BufferPool::shared(4)
             .attach_verified(Box::new(FileBackend::open(&path).unwrap()), crcs);
@@ -1133,9 +1131,8 @@ mod tests {
         }
         // Damage page 1 on disk.
         {
-            let mut f = OpenOptions::new().write(true).open(&path).unwrap();
-            f.seek(SeekFrom::Start(PAGE_SIZE as u64 + 9)).unwrap();
-            f.write_all(&[0xFF]).unwrap();
+            let f = OpenOptions::new().write(true).open(&path).unwrap();
+            f.write_all_at(&[0xFF], PAGE_SIZE as u64 + 9).unwrap();
         }
         let pool = BufferPool::shared(4)
             .attach_verified(Box::new(FileBackend::open(&path).unwrap()), crcs.clone());
@@ -1151,9 +1148,8 @@ mod tests {
         assert_eq!(pool.with_page(PageId(0), |b| b[0]), 1);
         // Repair the bytes on disk, lift the quarantine: reads work again.
         {
-            let mut f = OpenOptions::new().write(true).open(&path).unwrap();
-            f.seek(SeekFrom::Start(PAGE_SIZE as u64 + 9)).unwrap();
-            f.write_all(&[0x00]).unwrap();
+            let f = OpenOptions::new().write(true).open(&path).unwrap();
+            f.write_all_at(&[0x00], PAGE_SIZE as u64 + 9).unwrap();
             let mut page = vec![0u8; PAGE_SIZE];
             page[0] = 2;
             assert_eq!(crc32(&page), crcs[1], "test rebuilt the original page");
