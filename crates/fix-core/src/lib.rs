@@ -58,7 +58,7 @@ pub use fix_obs::{
 pub use fix_storage::{BufferPool, Durability, PageId, PoolStats, WalStats};
 pub use key::{EntryPtr, IndexKey};
 pub use metrics::{ground_truth, CacheStats, Metrics};
-pub use options::{FixOptions, FixOptionsBuilder, RefineOp, StorageMode};
+pub use options::{FixOptions, FixOptionsBuilder, StorageMode};
 pub use persist::{
     salvage_file, save_with_faults, verify_bytes, verify_file, SalvageSummary, SectionReport,
     SectionStatus, VerifyReport,

@@ -3,18 +3,6 @@
 use fix_spectral::FeatureExtractor;
 use fix_storage::Durability;
 
-/// Which operator validates candidates in the refinement phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RefineOp {
-    /// The NoK-style navigational evaluator (the paper's choice).
-    #[default]
-    Nok,
-    /// The bottom-up structural matcher (ablation alternative). Only twig
-    /// queries (no interior `//` below the anchor) can use it; general
-    /// paths silently fall back to [`RefineOp::Nok`].
-    Twig,
-}
-
 /// Where a database's pages live.
 ///
 /// The mode governs what [`FixDatabase::save`](crate::FixDatabase::save)
@@ -59,8 +47,6 @@ pub struct FixOptions {
     /// at open time (a v4 page file opens `Paged`, everything else
     /// `InMemory`).
     pub storage: StorageMode,
-    /// Refinement operator.
-    pub refine: RefineOp,
     /// Use the extended σ₂ feature for pruning (ablation; see
     /// `Features::contains_extended` for the soundness caveat).
     pub extended_features: bool,
@@ -155,7 +141,6 @@ impl FixOptions {
             extractor: FeatureExtractor::default(),
             pool_pages: 1024,
             storage: StorageMode::InMemory,
-            refine: RefineOp::default(),
             extended_features: false,
             edge_bloom: false,
             literal_gen_subpattern: false,
@@ -381,12 +366,6 @@ impl FixOptionsBuilder {
         self
     }
 
-    /// Refinement operator.
-    pub fn refine(mut self, op: RefineOp) -> Self {
-        self.opts.refine = op;
-        self
-    }
-
     /// Durability policy for acknowledged mutations (see [`Durability`]).
     pub fn durability(mut self, durability: Durability) -> Self {
         self.opts.durability = durability;
@@ -470,7 +449,6 @@ mod tests {
             .max_edges(123)
             .max_parse_depth(99)
             .compact_ratio(0.25)
-            .refine(RefineOp::Twig)
             .durability(Durability::Async)
             .wal_seal_bytes(4096)
             .tier_fanout(3)
@@ -492,7 +470,6 @@ mod tests {
         assert_eq!(o.extractor.max_edges, 123);
         assert_eq!(o.max_parse_depth, 99);
         assert_eq!(o.compact_ratio, 0.25);
-        assert_eq!(o.refine, RefineOp::Twig);
         assert_eq!(o.durability, Durability::Async);
         assert_eq!(o.wal_seal_bytes, 4096);
         assert_eq!(o.tier_fanout, 3);

@@ -15,7 +15,7 @@ use super::format::Kind;
 use crate::builder::FixIndex;
 use crate::collection::Collection;
 use crate::key::KEY_LEN;
-use crate::options::{FixOptions, RefineOp};
+use crate::options::FixOptions;
 
 /// Plausibility caps applied to decoded options before they can size
 /// anything. A corrupted field that slips past the CRCs is rejected here
@@ -335,7 +335,6 @@ pub(super) fn decode_options(r: &mut SliceReader) -> Result<FixOptions, String> 
     opts.extractor.max_edges = max_edges;
     opts.extended_features = flags & 1 != 0;
     opts.edge_bloom = flags & 2 != 0;
-    opts.refine = RefineOp::default();
     opts.max_parse_depth = max_parse_depth;
     // Mutation-policy knobs: present in files written by current code,
     // absent in older ones (the frame then ends at the parse depth, and

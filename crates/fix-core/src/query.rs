@@ -26,7 +26,6 @@ use crate::collection::{Collection, DocId};
 use crate::error::FixError;
 use crate::key::{EntryPtr, IndexKey, KEY_LEN};
 use crate::metrics::Metrics;
-use crate::options::RefineOp;
 
 /// Cancellation context for the fallible query pipeline: the shared
 /// [`CancelToken`] plus the query's start instant, so a tripped token
@@ -682,12 +681,7 @@ impl FixIndex {
         let start = Instant::now();
         let cdt = candidates.len() as u64;
         let delta_cdt = candidates.iter().filter(|c| c.delta).count() as u64;
-        let refiner = Refiner::new(
-            &coll.labels,
-            path,
-            self.opts.depth_limit,
-            self.opts.refine == RefineOp::Twig,
-        );
+        let refiner = Refiner::new(&coll.labels, path, self.opts.depth_limit);
         let threads = threads.max(1).min(candidates.len().max(1));
         // One worker's output: its matches, producing count, and wall time.
         type ChunkPart = (Vec<(DocId, NodeId)>, u64, Duration);
@@ -850,12 +844,7 @@ impl FixIndex {
         Ok(QueryHits {
             index: self,
             coll,
-            refiner: Refiner::new(
-                &coll.labels,
-                &plan.path,
-                self.opts.depth_limit,
-                self.opts.refine == RefineOp::Twig,
-            ),
+            refiner: Refiner::new(&coll.labels, &plan.path, self.opts.depth_limit),
             pending: ptrs.into_iter().peekable(),
             buf: Vec::new().into_iter(),
             metrics: Metrics {

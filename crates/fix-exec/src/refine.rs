@@ -1,31 +1,24 @@
 //! A refinement entry point over shared (`&`-only) state.
 //!
 //! The index's refinement phase validates each candidate by evaluating the
-//! query from the candidate's anchor. The evaluators themselves
-//! ([`eval_path`], [`eval_twig`]) are
-//! pure functions over borrowed data, but choosing *which* evaluator to run
-//! — and the rooted-anchor special case — used to live inline in the
-//! caller's candidate loop, which tied it to one thread. [`Refiner`]
-//! packages that decision once per query into an immutable, `Send + Sync`
-//! value, so any number of worker threads can validate candidates
-//! concurrently against the same instance.
+//! query from the candidate's anchor with the NoK-style navigator
+//! ([`eval_path`], [`eval_path_from`]) — the paper's refinement operator.
+//! The navigator is a pure function over borrowed data; [`Refiner`]
+//! packages the per-query part — the path and the rooted-anchor rule —
+//! into an immutable, `Send + Sync` value, so any number of worker threads
+//! can validate candidates concurrently against the same instance.
 
 use fix_xml::{Document, LabelTable, NodeId};
-use fix_xpath::{Axis, PathExpr, TwigQuery};
+use fix_xpath::{Axis, PathExpr};
 
 use crate::nok::{eval_path, eval_path_from};
-use crate::twig::eval_twig;
 
-/// A per-query refinement context: the (already normalized) path, the
-/// optional precompiled bottom-up twig matcher, and the anchoring rules.
-/// All state is immutable after construction — share it by `&` across as
-/// many threads as candidates warrant.
+/// A per-query refinement context: the (already normalized) path and the
+/// anchoring rules. All state is immutable after construction — share it
+/// by `&` across as many threads as candidates warrant.
 pub struct Refiner<'a> {
     labels: &'a LabelTable,
     path: PathExpr,
-    /// Precompiled bottom-up matcher (whole-unit refinement only; `None`
-    /// falls back to navigational evaluation).
-    twig: Option<TwigQuery>,
     /// The index's subpattern depth limit (`0` = whole-document units).
     depth_limit: usize,
     /// True if the query is rooted (`/a/...`): anchors other than the
@@ -34,25 +27,11 @@ pub struct Refiner<'a> {
 }
 
 impl<'a> Refiner<'a> {
-    /// Builds the refinement context for one query. `use_twig` selects the
-    /// bottom-up structural matcher where it applies (whole-document units
-    /// and a path that compiles to a twig); otherwise the NoK-style
-    /// navigator is used.
-    pub fn new(
-        labels: &'a LabelTable,
-        path: &PathExpr,
-        depth_limit: usize,
-        use_twig: bool,
-    ) -> Self {
-        let twig = if use_twig && depth_limit == 0 {
-            TwigQuery::from_path(path, labels).ok()
-        } else {
-            None
-        };
+    /// Builds the refinement context for one query.
+    pub fn new(labels: &'a LabelTable, path: &PathExpr, depth_limit: usize) -> Self {
         Self {
             labels,
             path: path.clone(),
-            twig,
             depth_limit,
             rooted: path.steps.first().map(|s| s.axis) == Some(Axis::Child),
         }
@@ -68,10 +47,7 @@ impl<'a> Refiner<'a> {
     /// nodes (empty = false positive).
     pub fn matches_at(&self, doc: &Document, anchor: NodeId) -> Vec<NodeId> {
         if self.depth_limit == 0 {
-            match &self.twig {
-                Some(t) => eval_twig(doc, t),
-                None => eval_path(doc, self.labels, &self.path),
-            }
+            eval_path(doc, self.labels, &self.path)
         } else if self.rooted && anchor != doc.root() {
             // A rooted query can only anchor at the document root; any
             // other entry in the partition is a false positive.
@@ -101,21 +77,20 @@ mod tests {
     }
 
     #[test]
-    fn whole_unit_twig_and_nok_agree() {
+    fn whole_unit_refinement_agrees_with_the_twig_oracle() {
         let (d, lt) = setup("<bib><article><author/><ee/></article><book><author/></book></bib>");
         let path = parse_path("//article[author]/ee").unwrap();
-        let nav = Refiner::new(&lt, &path, 0, false);
-        let twig = Refiner::new(&lt, &path, 0, true);
-        let anchor = d.root();
-        assert_eq!(nav.matches_at(&d, anchor), twig.matches_at(&d, anchor));
-        assert_eq!(nav.matches_at(&d, anchor).len(), 1);
+        let twig = fix_xpath::TwigQuery::from_path(&path, &lt).unwrap();
+        let got = Refiner::new(&lt, &path, 0).matches_at(&d, d.root());
+        assert_eq!(got, crate::twig::eval_twig(&d, &twig));
+        assert_eq!(got.len(), 1);
     }
 
     #[test]
     fn rooted_queries_reject_non_root_anchors() {
         let (d, lt) = setup("<a><b><c/></b></a>");
         let path = parse_path("/a/b/c").unwrap();
-        let r = Refiner::new(&lt, &path, 3, false);
+        let r = Refiner::new(&lt, &path, 3);
         assert_eq!(r.matches_at(&d, d.root()).len(), 1);
         let b = d.first_child(d.root()).unwrap();
         assert!(r.matches_at(&d, b).is_empty());
@@ -125,7 +100,7 @@ mod tests {
     fn anchored_evaluation_scopes_to_the_subtree() {
         let (d, lt) = setup("<a><b><c/></b><b/></a>");
         let path = parse_path("//b/c").unwrap();
-        let r = Refiner::new(&lt, &path, 2, false);
+        let r = Refiner::new(&lt, &path, 2);
         let first_b = d.first_child(d.root()).unwrap();
         assert_eq!(r.matches_at(&d, first_b).len(), 1);
     }
@@ -134,7 +109,7 @@ mod tests {
     fn concurrent_refinement_matches_serial() {
         let (d, lt) = setup("<bib><article><author/><ee/></article></bib>");
         let path = parse_path("//article/author").unwrap();
-        let r = Refiner::new(&lt, &path, 0, false);
+        let r = Refiner::new(&lt, &path, 0);
         let serial = r.matches_at(&d, d.root());
         std::thread::scope(|s| {
             for _ in 0..4 {

@@ -12,116 +12,24 @@
 //!
 //! Serves the binary protocol and HTTP (`/query`, `/metrics`, `/events`,
 //! `/healthz`) on one port. SIGTERM or SIGINT drains: accepting stops,
-//! in-flight queries finish and flush, then the process exits 0.
+//! in-flight queries finish and flush, then the process exits 0. The
+//! same front door runs as `fixdb serve`.
 
-use std::path::Path;
 use std::process::ExitCode;
 
-use fix_core::{ShardRouter, ShardedDatabase};
-use fix_server::server::{run_until_signal, serve, ServerConfig};
-
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: fixd <db> [--addr HOST:PORT] [--shards N] [--max-inflight N] [--tenant-quota N]"
-    );
-    ExitCode::from(2)
-}
+use fix_server::{run_daemon, DAEMON_USAGE};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut db_path: Option<String> = None;
-    let mut addr = "127.0.0.1:7878".to_string();
-    let mut shards = 1usize;
-    let mut max_inflight = 64usize;
-    let mut tenant_quota = 0usize;
-
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--addr" => match args.get(i + 1) {
-                Some(v) => {
-                    addr = v.clone();
-                    i += 2;
-                }
-                None => return usage(),
-            },
-            "--shards" => match args.get(i + 1).and_then(|v| v.parse().ok()) {
-                Some(v) => {
-                    shards = v;
-                    i += 2;
-                }
-                None => return usage(),
-            },
-            "--max-inflight" => match args.get(i + 1).and_then(|v| v.parse().ok()) {
-                Some(v) => {
-                    max_inflight = v;
-                    i += 2;
-                }
-                None => return usage(),
-            },
-            "--tenant-quota" => match args.get(i + 1).and_then(|v| v.parse().ok()) {
-                Some(v) => {
-                    tenant_quota = v;
-                    i += 2;
-                }
-                None => return usage(),
-            },
-            "--help" | "-h" => {
-                usage();
-                return ExitCode::SUCCESS;
-            }
-            flag if flag.starts_with('-') => {
-                eprintln!("fixd: unknown flag {flag}");
-                return usage();
-            }
-            _ if db_path.is_none() => {
-                db_path = Some(args[i].clone());
-                i += 1;
-            }
-            extra => {
-                eprintln!("fixd: unexpected argument {extra}");
-                return usage();
-            }
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        println!("usage: fixd {DAEMON_USAGE}");
+        return ExitCode::SUCCESS;
+    }
+    match run_daemon("fixd", &args) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("fixd: {e}");
+            ExitCode::FAILURE
         }
     }
-    let Some(db_path) = db_path else {
-        return usage();
-    };
-    if shards == 0 {
-        eprintln!("fixd: --shards must be at least 1");
-        return ExitCode::from(2);
-    }
-
-    let db = match ShardedDatabase::open_any(Path::new(&db_path), shards, ShardRouter::Hash) {
-        Ok(db) => db,
-        Err(e) => {
-            eprintln!("fixd: cannot open {db_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    let cfg = ServerConfig {
-        addr,
-        max_inflight,
-        tenant_quota,
-        ..ServerConfig::default()
-    };
-    let handle = match serve(&db, cfg) {
-        Ok(h) => h,
-        Err(e) => {
-            eprintln!("fixd: cannot bind: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    println!(
-        "fixd listening on {} ({} shards, {} docs)",
-        handle.addr(),
-        db.shard_count(),
-        db.doc_count()
-    );
-    use std::io::Write;
-    let _ = std::io::stdout().flush();
-
-    run_until_signal(handle);
-    ExitCode::SUCCESS
 }

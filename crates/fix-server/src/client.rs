@@ -5,7 +5,7 @@ use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use crate::proto::{
-    decode_response, encode_request, write_frame, ErrorCode, FrameReader, ProtoError, Request,
+    decode_response, encode_request, read_frame, write_frame, ErrorCode, ProtoError, Request,
     Response, WireMetrics, MAGIC,
 };
 
@@ -67,10 +67,16 @@ pub struct RemoteOutcome {
 }
 
 /// A blocking fixd connection speaking the binary protocol.
+///
+/// A round trip that fails with [`ClientError::Io`] or
+/// [`ClientError::Proto`] — a timeout included — leaves the connection
+/// unusable: the server may still send that request's answer, and the
+/// next read would take it for its own. Every later call then fails with
+/// `ErrorKind::NotConnected`; reconnect to continue.
 pub struct Client {
     stream: TcpStream,
-    reader: FrameReader,
     tenant: String,
+    broken: bool,
 }
 
 impl Client {
@@ -81,8 +87,8 @@ impl Client {
         write_frame(&mut stream, &MAGIC)?;
         Ok(Client {
             stream,
-            reader: FrameReader::new(),
             tenant: String::new(),
+            broken: false,
         })
     }
 
@@ -93,7 +99,8 @@ impl Client {
     }
 
     /// Bounds how long [`Client::query`] / [`Client::ping`] wait for a
-    /// response (`None` = forever).
+    /// response (`None` = forever). A request that times out breaks the
+    /// connection (see [`Client`]).
     pub fn set_timeout(&mut self, timeout: Option<Duration>) -> Result<(), ClientError> {
         self.stream.set_read_timeout(timeout)?;
         Ok(())
@@ -130,8 +137,20 @@ impl Client {
     }
 
     fn round_trip(&mut self, req: &Request) -> Result<Response, ClientError> {
+        if self.broken {
+            return Err(ClientError::Io(io::Error::new(
+                io::ErrorKind::NotConnected,
+                "connection unusable after an earlier failed request; reconnect",
+            )));
+        }
+        let out = self.exchange(req);
+        self.broken = matches!(out, Err(ClientError::Io(_) | ClientError::Proto(_)));
+        out
+    }
+
+    fn exchange(&mut self, req: &Request) -> Result<Response, ClientError> {
         write_frame(&mut self.stream, &encode_request(req))?;
-        match self.reader.read_frame(&mut self.stream)? {
+        match read_frame(&mut self.stream)? {
             None => Err(ClientError::Io(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "server closed the connection",

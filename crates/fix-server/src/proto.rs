@@ -419,110 +419,56 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, ProtoError> {
 
 // ------------------------------------------------------------ frame reader
 
-/// Incremental frame reader for one connection. Feed it a `Read`; it
-/// refuses oversized length prefixes before allocating and surfaces
-/// truncation as an error, not a hang (callers set a read timeout).
-///
-/// The reader is *stateful across partial reads*: when the underlying
-/// read returns `WouldBlock`/`TimedOut` mid-frame (a socket read timeout
-/// during an intra-frame TCP stall), `read_frame` propagates the error
-/// but keeps every byte already consumed, and the next call resumes the
-/// same frame exactly where it stopped. Restarting the call therefore
-/// never desynchronizes the stream; use [`FrameReader::mid_frame`] to
-/// tell an idle timeout (clean frame boundary) from a mid-frame stall.
-pub struct FrameReader {
-    len_buf: [u8; 4],
-    len_filled: usize,
-    payload: Vec<u8>,
-    payload_filled: usize,
-    in_payload: bool,
-}
-
-impl FrameReader {
-    /// A reader with an empty buffer.
-    pub fn new() -> Self {
-        FrameReader {
-            len_buf: [0; 4],
-            len_filled: 0,
-            payload: Vec::new(),
-            payload_filled: 0,
-            in_payload: false,
+/// Reads one frame payload from a blocking reader. `Ok(None)` means clean
+/// EOF at a frame boundary. An oversized length prefix is reported as
+/// [`ProtoError::Oversize`] without allocating the claimed size; EOF right
+/// after a complete prefix is [`ProtoError::Truncated`]; EOF anywhere else
+/// inside a frame is an `UnexpectedEof` I/O error. Any other read error —
+/// a client's read timeout included — leaves the stream mid-frame, so the
+/// caller must drop the connection.
+pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Result<Vec<u8>, ProtoError>>> {
+    let mut len_buf = [0u8; 4];
+    match read_full(r, &mut len_buf)? {
+        0 => return Ok(None),
+        4 => {}
+        got => {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                format!("connection closed mid-prefix ({got}/4 bytes)"),
+            ))
         }
     }
-
-    /// True when some bytes of the current frame have arrived but the
-    /// frame is not yet complete — a read timeout now is a mid-frame
-    /// stall to be resumed, not connection idleness.
-    pub fn mid_frame(&self) -> bool {
-        self.len_filled > 0 || self.in_payload
+    let need = u32::from_le_bytes(len_buf) as usize;
+    if need > MAX_FRAME {
+        return Ok(Some(Err(ProtoError::Oversize {
+            claimed: need,
+            limit: MAX_FRAME,
+        })));
     }
-
-    /// Reads exactly one frame payload. `Ok(None)` means clean EOF at a
-    /// frame boundary. An oversized length prefix is reported as
-    /// `ProtoError::Oversize` without allocating the claimed size. On
-    /// `Err` with `WouldBlock`/`TimedOut`, partial progress is retained
-    /// and the next call resumes the same frame.
-    pub fn read_frame<R: Read>(
-        &mut self,
-        r: &mut R,
-    ) -> io::Result<Option<Result<Vec<u8>, ProtoError>>> {
-        if !self.in_payload {
-            while self.len_filled < 4 {
-                match r.read(&mut self.len_buf[self.len_filled..]) {
-                    Ok(0) => {
-                        if self.len_filled == 0 {
-                            return Ok(None);
-                        }
-                        return Err(io::Error::new(
-                            io::ErrorKind::UnexpectedEof,
-                            format!("connection closed mid-prefix ({}/4 bytes)", self.len_filled),
-                        ));
-                    }
-                    Ok(n) => self.len_filled += n,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(e) => return Err(e), // progress kept; resumable
-                }
-            }
-            let len = u32::from_le_bytes(self.len_buf) as usize;
-            self.len_filled = 0;
-            if len > MAX_FRAME {
-                return Ok(Some(Err(ProtoError::Oversize {
-                    claimed: len,
-                    limit: MAX_FRAME,
-                })));
-            }
-            self.payload.clear();
-            self.payload.resize(len, 0);
-            self.payload_filled = 0;
-            self.in_payload = true;
-        }
-        while self.payload_filled < self.payload.len() {
-            match r.read(&mut self.payload[self.payload_filled..]) {
-                Ok(0) => {
-                    let (need, have) = (self.payload.len(), self.payload_filled);
-                    self.in_payload = false;
-                    if have == 0 {
-                        return Ok(Some(Err(ProtoError::Truncated { need, have })));
-                    }
-                    return Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        format!("connection closed mid-frame ({have}/{need} bytes)"),
-                    ));
-                }
-                Ok(n) => self.payload_filled += n,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e), // progress kept; resumable
-            }
-        }
-        self.in_payload = false;
-        Ok(Some(Ok(std::mem::take(&mut self.payload))))
+    let mut payload = vec![0; need];
+    match read_full(r, &mut payload)? {
+        have if have == need => Ok(Some(Ok(payload))),
+        0 => Ok(Some(Err(ProtoError::Truncated { need, have: 0 }))),
+        have => Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!("connection closed mid-frame ({have}/{need} bytes)"),
+        )),
     }
 }
 
-impl Default for FrameReader {
-    fn default() -> Self {
-        Self::new()
+/// Fills `buf` until it is full or the reader reports EOF, and returns
+/// how many bytes arrived.
+fn read_full<R: Read>(r: &mut R, buf: &mut [u8]) -> io::Result<usize> {
+    let mut filled = 0;
+    while filled < buf.len() {
+        match r.read(&mut buf[filled..]) {
+            Ok(0) => break,
+            Ok(n) => filled += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
     }
+    Ok(filled)
 }
 
 /// Writes a pre-encoded frame.
@@ -644,62 +590,6 @@ mod tests {
     }
 
     #[test]
-    fn frame_reader_resumes_across_mid_frame_timeouts() {
-        // Yields the buffered bytes one at a time, then WouldBlock — the
-        // shape of a socket whose read timeout fires mid-frame.
-        struct Stalling {
-            data: Vec<u8>,
-            pos: usize,
-        }
-        impl Read for Stalling {
-            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-                if self.pos >= self.data.len() {
-                    return Err(io::Error::new(io::ErrorKind::WouldBlock, "stall"));
-                }
-                buf[0] = self.data[self.pos];
-                self.pos += 1;
-                Ok(1)
-            }
-        }
-
-        let req = Request::Query {
-            tenant: "tenant".into(),
-            query: "//a/b".into(),
-        };
-        let frame = encode_request(&req);
-        let mut src = Stalling {
-            data: Vec::new(),
-            pos: 0,
-        };
-        let mut fr = FrameReader::new();
-        assert!(!fr.mid_frame());
-
-        // Drip the frame in two-byte installments; every stall must
-        // leave the reader resumable, never desynchronized.
-        let mut sent = 0;
-        let payload = loop {
-            match fr.read_frame(&mut src) {
-                Ok(Some(Ok(p))) => break p,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    assert_eq!(fr.mid_frame(), sent > 0, "after {sent} bytes");
-                    let next = (sent + 2).min(frame.len());
-                    src.data.extend_from_slice(&frame[sent..next]);
-                    sent = next;
-                }
-                other => panic!("unexpected outcome: {other:?}"),
-            }
-        };
-        assert!(!fr.mid_frame());
-        assert_eq!(decode_request(&payload), Ok(req));
-
-        // The same reader then handles a whole second frame: no state
-        // leaked across the boundary.
-        src.data.extend_from_slice(&encode_request(&Request::Ping));
-        let second = fr.read_frame(&mut src).unwrap().unwrap().unwrap();
-        assert_eq!(decode_request(&second), Ok(Request::Ping));
-    }
-
-    #[test]
     fn truncation_lands_on_char_boundaries() {
         // 2-byte chars: 65535 is mid-codepoint, so the encoder must back
         // up one byte and the peer must still decode clean UTF-8.
@@ -735,19 +625,35 @@ mod tests {
     #[test]
     fn frame_reader_handles_eof_and_oversize() {
         let mut data: &[u8] = &[];
-        let mut fr = FrameReader::new();
-        assert!(matches!(fr.read_frame(&mut data), Ok(None)));
+        assert!(matches!(read_frame(&mut data), Ok(None)));
 
         let huge = ((MAX_FRAME + 1) as u32).to_le_bytes();
         let mut data: &[u8] = &huge;
-        match fr.read_frame(&mut data) {
+        match read_frame(&mut data) {
             Ok(Some(Err(ProtoError::Oversize { .. }))) => {}
             other => panic!("expected oversize, got {other:?}"),
         }
 
         let f = encode_request(&Request::Ping);
         let mut data: &[u8] = &f;
-        let got = fr.read_frame(&mut data).unwrap().unwrap().unwrap();
+        let got = read_frame(&mut data).unwrap().unwrap().unwrap();
         assert_eq!(decode_request(&got), Ok(Request::Ping));
+
+        // EOF right after a whole prefix is a structured truncation; EOF
+        // inside the prefix or the payload is a torn frame.
+        let mut data: &[u8] = &f[..4];
+        match read_frame(&mut data) {
+            Ok(Some(Err(ProtoError::Truncated { need: 1, have: 0 }))) => {}
+            other => panic!("expected truncated, got {other:?}"),
+        }
+        let q = encode_request(&Request::Query {
+            tenant: String::new(),
+            query: "//a".into(),
+        });
+        for cut in [2, 6] {
+            let mut data: &[u8] = &q[..cut];
+            let e = read_frame(&mut data).unwrap_err();
+            assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof, "cut at {cut}");
+        }
     }
 }

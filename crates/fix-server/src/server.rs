@@ -1,9 +1,11 @@
 //! The fixd serving loop: a threaded front end over a sharded database.
 //!
-//! One nonblocking accept loop hands each connection to its own thread.
-//! Connection threads sniff the first bytes — the `FIXB` magic selects the
-//! binary frame protocol, an HTTP method selects the HTTP/JSON surface —
-//! then serve requests until the peer hangs up or the server drains.
+//! One blocking accept loop hands each connection to its own thread.
+//! Connection threads read the first four bytes — the `FIXB` magic selects
+//! the binary frame protocol, an HTTP method selects the HTTP/JSON surface
+//! — then block in `read` between requests until the peer hangs up or the
+//! server drains. Nothing polls: shutdown wakes every blocked thread
+//! instead (see [`ServerHandle::shutdown`]).
 //!
 //! Admission control is two-layer and sheds load with a *structured
 //! error*, never a hang: a global in-flight cap
@@ -12,21 +14,25 @@
 //! stops immediately, in-flight queries run to completion and their
 //! responses are written, then connections close and
 //! [`ServerHandle::shutdown`] joins every thread.
+//!
+//! [`run_daemon`] is the command-line front door `fixd` and `fixdb serve`
+//! share: flags, open, serve, banner, drain on SIGTERM/SIGINT.
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use fix_core::{FixError, ShardedDatabase, ShardedSession};
+use fix_core::{FixError, ShardRouter, ShardedDatabase, ShardedSession};
 use fix_obs::json::JsonWriter;
 use fix_obs::{names, Category, EventRecorder, FieldValue, MetricsRegistry, Severity};
 
 use crate::proto::{
-    decode_request, encode_response, write_frame, ErrorCode, FrameReader, Request, Response,
-    WireMetrics, MAGIC,
+    decode_request, encode_response, read_frame, write_frame, ErrorCode, ProtoError, Request,
+    Response, WireMetrics, MAGIC,
 };
 
 /// Upper bound on an HTTP request head (request line + headers).
@@ -45,9 +51,6 @@ pub struct ServerConfig {
     /// Per-tenant cap on concurrently executing queries (0 = unlimited);
     /// excess is shed with [`ErrorCode::Quota`].
     pub tenant_quota: usize,
-    /// Socket read poll tick: how often an idle connection thread wakes
-    /// to check for shutdown.
-    pub read_timeout: Duration,
     /// Socket write timeout: a peer that stops reading for this long is
     /// disconnected instead of blocking its thread in `write` forever —
     /// without it, one stuck peer would make graceful shutdown (which
@@ -67,7 +70,6 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             max_inflight: 64,
             tenant_quota: 0,
-            read_timeout: Duration::from_millis(25),
             write_timeout: Duration::from_secs(5),
             event_capacity: 1024,
             debug_query_delay: Duration::ZERO,
@@ -80,7 +82,14 @@ struct Shared {
     registry: Arc<MetricsRegistry>,
     events: Arc<EventRecorder>,
     cfg: ServerConfig,
+    /// The drain flag. It is only ever set while `conns` is held.
     shutdown: AtomicBool,
+    /// A read-side handle of every open connection, by connection id.
+    /// Registration checks `shutdown` under this lock, so every
+    /// connection is either swept by [`ServerHandle::shutdown`] or refused.
+    conns: Mutex<HashMap<u64, TcpStream>>,
+    /// Signalled whenever a connection closes or the drain begins.
+    conn_closed: Condvar,
     inflight: AtomicUsize,
     tenants: Mutex<HashMap<String, usize>>,
 }
@@ -89,8 +98,45 @@ impl Shared {
     /// Locks the tenant map, recovering from poisoning: a panic in one
     /// query thread must not brick admission control for every later
     /// request (the map's invariants are simple counters, safe to reuse).
-    fn lock_tenants(&self) -> std::sync::MutexGuard<'_, HashMap<String, usize>> {
+    fn lock_tenants(&self) -> MutexGuard<'_, HashMap<String, usize>> {
         self.tenants.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// Locks the connection registry, recovering from poisoning like
+    /// [`Shared::lock_tenants`].
+    fn lock_conns(&self) -> MutexGuard<'_, HashMap<u64, TcpStream>> {
+        self.conns.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    fn draining(&self) -> bool {
+        self.shutdown.load(Ordering::SeqCst)
+    }
+
+    /// Records a read-side handle of `stream` so a drain can wake its
+    /// thread. False — refuse the connection — once the drain has begun
+    /// or if the handle cannot be cloned.
+    fn register(&self, id: u64, stream: &TcpStream) -> bool {
+        let mut conns = self.lock_conns();
+        if self.draining() {
+            return false;
+        }
+        let Ok(handle) = stream.try_clone() else {
+            return false;
+        };
+        conns.insert(id, handle);
+        self.registry
+            .gauge(names::SERVER_CONNECTIONS_OPEN)
+            .set(conns.len() as i64);
+        true
+    }
+
+    fn unregister(&self, id: u64) {
+        let mut conns = self.lock_conns();
+        conns.remove(&id);
+        self.registry
+            .gauge(names::SERVER_CONNECTIONS_OPEN)
+            .set(conns.len() as i64);
+        self.conn_closed.notify_all();
     }
 
     /// Runs one query under admission control. Every failure mode maps to
@@ -98,7 +144,7 @@ impl Shared {
     /// unwinding out of the engine releases its admission slots (the
     /// [`AdmissionGuard`] drops during unwind).
     fn run_query(&self, tenant: &str, query: &str) -> Response {
-        if self.shutdown.load(Ordering::SeqCst) {
+        if self.draining() {
             return Response::Error {
                 code: ErrorCode::ShuttingDown,
                 message: "server is draining".into(),
@@ -252,8 +298,21 @@ impl ServerHandle {
 
     /// Stops accepting, lets in-flight queries finish and their responses
     /// flush, closes every connection, and joins all server threads.
+    ///
+    /// Every open connection is shut down for reading: a thread blocked
+    /// in `read` sees EOF at once, while one running a query still writes
+    /// its answer and exits at its next read. One loopback connect wakes
+    /// the accept loop out of `accept`.
     pub fn shutdown(mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        {
+            let conns = self.shared.lock_conns();
+            self.shared.shutdown.store(true, Ordering::SeqCst);
+            for stream in conns.values() {
+                let _ = stream.shutdown(Shutdown::Read);
+            }
+        }
+        self.shared.conn_closed.notify_all();
+        let _ = TcpStream::connect_timeout(&wake_addr(self.addr), Duration::from_secs(1));
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
@@ -261,12 +320,18 @@ impl ServerHandle {
             .events
             .record(Category::Server, Severity::Info, "server_stopped", vec![]);
     }
+}
 
-    /// True once the drain flag is set (for signal handlers that observe
-    /// shutdown from another thread).
-    pub fn is_shutting_down(&self) -> bool {
-        self.shared.shutdown.load(Ordering::SeqCst)
+/// Where a connect reaches a listener bound to `addr`: the loopback
+/// address of the same family when bound to the unspecified one.
+fn wake_addr(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
     }
+    addr
 }
 
 /// Binds and serves `db` until [`ServerHandle::shutdown`]. The handle's
@@ -276,20 +341,7 @@ pub fn serve(db: &ShardedDatabase, cfg: ServerConfig) -> io::Result<ServerHandle
     let registry = db.metrics().clone();
     let events = EventRecorder::shared(cfg.event_capacity);
     let session = db.session().with_registry(registry.clone());
-    serve_session(session, registry, events, cfg)
-}
-
-/// Lower-level entry: serve an already-snapshotted session with an
-/// explicit registry/recorder (what `fixdb serve` uses to share its
-/// database's observability surfaces).
-pub fn serve_session(
-    session: ShardedSession,
-    registry: Arc<MetricsRegistry>,
-    events: Arc<EventRecorder>,
-    cfg: ServerConfig,
-) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(&cfg.addr)?;
-    listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
     // Pre-register the whole server family so /metrics exports every
     // counter from the first scrape — "0" and "absent" mean different
@@ -317,6 +369,8 @@ pub fn serve_session(
         events,
         cfg,
         shutdown: AtomicBool::new(false),
+        conns: Mutex::new(HashMap::new()),
+        conn_closed: Condvar::new(),
         inflight: AtomicUsize::new(0),
         tenants: Mutex::new(HashMap::new()),
     });
@@ -338,103 +392,77 @@ pub fn serve_session(
 }
 
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
-    let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                shared.registry.counter(names::SERVER_CONNECTIONS).inc();
-                shared.registry.gauge(names::SERVER_CONNECTIONS_OPEN).add(1);
-                let conn_shared = shared.clone();
-                let h = std::thread::Builder::new()
-                    .name("fixd-conn".into())
-                    .spawn(move || {
-                        // catch_unwind keeps the open-connections gauge
-                        // honest even if a connection thread panics.
-                        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            let _ = handle_connection(stream, &conn_shared);
-                        }));
-                        conn_shared
-                            .registry
-                            .gauge(names::SERVER_CONNECTIONS_OPEN)
-                            .add(-1);
-                    });
-                match h {
-                    Ok(h) => conns.push(h),
-                    Err(_) => shared
-                        .registry
-                        .gauge(names::SERVER_CONNECTIONS_OPEN)
-                        .add(-1),
+    let mut threads: Vec<std::thread::JoinHandle<()>> = Vec::new();
+    let mut next_id = 0u64;
+    while !shared.draining() {
+        let stream = match listener.accept() {
+            Ok((stream, _)) => stream,
+            Err(e) if e.kind() == io::ErrorKind::ConnectionAborted => continue,
+            Err(_) => {
+                // Most likely out of descriptors: retrying at once would
+                // spin. Wait until a connection closes and frees one (or
+                // the drain begins), bounded in case none ever does.
+                let conns = shared.lock_conns();
+                if !shared.draining() {
+                    let _ = shared
+                        .conn_closed
+                        .wait_timeout(conns, Duration::from_millis(100));
                 }
+                continue;
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
+        };
+        next_id += 1;
+        let id = next_id;
+        // Refused (the drain's wake-up connect among them): drop it.
+        if !shared.register(id, &stream) {
+            continue;
+        }
+        shared.registry.counter(names::SERVER_CONNECTIONS).inc();
+        let conn_shared = shared.clone();
+        let spawned = std::thread::Builder::new()
+            .name("fixd-conn".into())
+            .spawn(move || {
+                // catch_unwind keeps the registry (and the open-connections
+                // gauge it drives) honest even if a connection thread panics.
+                let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    let _ = handle_connection(stream, &conn_shared);
+                }));
+                conn_shared.unregister(id);
+            });
+        match spawned {
+            Ok(h) => threads.push(h),
+            Err(_) => shared.unregister(id),
         }
         // Reap finished connection threads so the vec stays bounded.
-        conns.retain(|h| !h.is_finished());
+        threads.retain(|h| !h.is_finished());
     }
-    // Drain: every connection thread observes the shutdown flag at its
-    // next poll tick, finishes its current request, and exits.
-    for h in conns {
+    // Close the port, then wait for the connections the drain woke.
+    drop(listener);
+    for h in threads {
         let _ = h.join();
     }
 }
 
 /// Serves one connection end to end. Any I/O error just drops the
 /// connection; protocol errors get a structured response first.
-fn handle_connection(stream: TcpStream, shared: &Shared) -> io::Result<()> {
-    stream.set_read_timeout(Some(shared.cfg.read_timeout))?;
+fn handle_connection(mut stream: TcpStream, shared: &Shared) -> io::Result<()> {
     stream.set_write_timeout(Some(shared.cfg.write_timeout))?;
     stream.set_nodelay(true).ok();
-
-    // Sniff without consuming: `FIXB` → binary, anything else → HTTP.
+    // `FIXB` → binary; anything else is the start of an HTTP request.
     let mut head = [0u8; 4];
-    let n = peek_with_shutdown(&stream, shared, &mut head)?;
-    if n == 0 {
-        return Ok(()); // hung up before saying anything
-    }
-    if n == 4 && head == MAGIC {
-        let mut stream = stream;
-        let mut sink = [0u8; 4];
-        stream.read_exact(&mut sink)?; // consume the magic
-        return serve_binary(stream, shared);
-    }
-    serve_http(stream, shared)
-}
-
-/// Peeks up to 4 bytes, retrying over read-timeout ticks until data
-/// arrives, the peer hangs up, or shutdown begins.
-fn peek_with_shutdown(stream: &TcpStream, shared: &Shared, buf: &mut [u8]) -> io::Result<usize> {
-    loop {
-        match stream.peek(buf) {
-            Ok(n) if n == buf.len() || n == 0 => return Ok(n),
-            Ok(_) => {
-                // Partial peek: give the client a tick to finish writing.
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return Ok(0);
-                }
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return Ok(0);
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
+    stream.read_exact(&mut head)?;
+    if head == MAGIC {
+        serve_binary(stream, shared)
+    } else {
+        serve_http(stream, head, shared)
     }
 }
 
 // ---------------------------------------------------------------- binary
 
 fn serve_binary(mut stream: TcpStream, shared: &Shared) -> io::Result<()> {
-    let mut reader = FrameReader::new();
     loop {
-        let payload = match reader.read_frame(&mut stream) {
+        let payload = match read_frame(&mut stream) {
             Ok(None) => return Ok(()), // clean EOF
             Ok(Some(Ok(p))) => p,
             Ok(Some(Err(e))) => {
@@ -442,7 +470,7 @@ fn serve_binary(mut stream: TcpStream, shared: &Shared) -> io::Result<()> {
                 // stream position is no longer trustworthy).
                 shared.registry.counter(names::SERVER_MALFORMED).inc();
                 let code = match e {
-                    crate::proto::ProtoError::Oversize { .. } => ErrorCode::Oversize,
+                    ProtoError::Oversize { .. } => ErrorCode::Oversize,
                     _ => ErrorCode::Malformed,
                 };
                 let resp = Response::Error {
@@ -452,22 +480,13 @@ fn serve_binary(mut stream: TcpStream, shared: &Shared) -> io::Result<()> {
                 let _ = write_frame(&mut stream, &encode_response(&resp));
                 return Ok(());
             }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    // Idle at a frame boundary: drain. Mid-frame during
-                    // shutdown: the request never fully arrived, drop it
-                    // (only admitted queries are drained).
-                    return Ok(());
-                }
-                // The reader kept any partial bytes; retrying resumes the
-                // same frame, so a mid-frame stall never desyncs framing.
-                continue;
-            }
             Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => {
-                // Torn frame (peer died mid-write): nothing to answer.
-                shared.registry.counter(names::SERVER_MALFORMED).inc();
+                // Torn frame: nothing to answer. Malformed unless the
+                // drain cut a stalled request short (only admitted
+                // queries are drained).
+                if !shared.draining() {
+                    shared.registry.counter(names::SERVER_MALFORMED).inc();
+                }
                 return Ok(());
             }
             Err(e) => return Err(e),
@@ -489,9 +508,9 @@ fn serve_binary(mut stream: TcpStream, shared: &Shared) -> io::Result<()> {
 
 // ------------------------------------------------------------------ http
 
-fn serve_http(mut stream: TcpStream, shared: &Shared) -> io::Result<()> {
+fn serve_http(mut stream: TcpStream, head: [u8; 4], shared: &Shared) -> io::Result<()> {
     shared.registry.counter(names::SERVER_HTTP_REQUESTS).inc();
-    let req = match read_http_request(&mut stream, shared) {
+    let req = match read_http_request(&mut stream, head.to_vec()) {
         Ok(Some(r)) => r,
         Ok(None) => return Ok(()),
         Err(e) if e.kind() == io::ErrorKind::InvalidData => {
@@ -550,10 +569,11 @@ impl HttpRequest {
     }
 }
 
-/// Reads one HTTP request. `Ok(None)` = peer hung up / shutdown; an
-/// `InvalidData` error = malformed request (answer 400).
-fn read_http_request(stream: &mut TcpStream, shared: &Shared) -> io::Result<Option<HttpRequest>> {
-    let mut buf: Vec<u8> = Vec::new();
+/// Reads one HTTP request whose first bytes are already in `buf`.
+/// `Ok(None)` = the head never completed (peer hung up, or the drain shut
+/// the connection); an `InvalidData` error = malformed request (answer
+/// 400); a body cut short drops the connection.
+fn read_http_request(stream: &mut TcpStream, mut buf: Vec<u8>) -> io::Result<Option<HttpRequest>> {
     let mut chunk = [0u8; 1024];
     let head_end = loop {
         if let Some(pos) = find_head_end(&buf) {
@@ -568,13 +588,6 @@ fn read_http_request(stream: &mut TcpStream, shared: &Shared) -> io::Result<Opti
         match stream.read(&mut chunk) {
             Ok(0) => return Ok(None),
             Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return Ok(None);
-                }
-            }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
         }
@@ -606,21 +619,11 @@ fn read_http_request(stream: &mut TcpStream, shared: &Shared) -> io::Result<Opti
     if content_length > MAX_HTTP_BODY {
         return Err(io::Error::new(io::ErrorKind::InvalidData, "body too large"));
     }
-    let mut body_bytes = buf[head_end + 4..].to_vec();
-    while body_bytes.len() < content_length {
-        match stream.read(&mut chunk) {
-            Ok(0) => break,
-            Ok(n) => body_bytes.extend_from_slice(&chunk[..n]),
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
+    let mut body_bytes = buf.split_off(head_end + 4);
+    let have = body_bytes.len();
+    if have < content_length {
+        body_bytes.resize(content_length, 0);
+        stream.read_exact(&mut body_bytes[have..])?;
     }
     body_bytes.truncate(content_length);
     let body = String::from_utf8(body_bytes)
@@ -736,7 +739,7 @@ const SIGINT: i32 = 2;
 const SIGTERM: i32 = 15;
 
 extern "C" fn on_signal(_sig: i32) {
-    // Only async-signal-safe work here: flip the flag; the poll loop in
+    // Only async-signal-safe work here: flip the flag; the wait loop in
     // `run_until_signal` notices.
     SIGNAL_SHUTDOWN.store(true, Ordering::SeqCst);
 }
@@ -745,10 +748,9 @@ extern "C" {
     fn signal(signum: i32, handler: usize) -> usize;
 }
 
-/// Installs SIGTERM/SIGINT handlers that request a drain (observable via
-/// [`signal_shutdown_requested`]). Hand-rolled FFI because the build
-/// environment carries no libc crate.
-pub fn install_signal_handlers() {
+/// Installs SIGTERM/SIGINT handlers that set [`SIGNAL_SHUTDOWN`].
+/// Hand-rolled FFI because the build environment carries no libc crate.
+fn install_signal_handlers() {
     let handler = on_signal as extern "C" fn(i32) as *const () as usize;
     unsafe {
         signal(SIGTERM, handler);
@@ -756,22 +758,72 @@ pub fn install_signal_handlers() {
     }
 }
 
-/// True once SIGTERM/SIGINT has been delivered.
-pub fn signal_shutdown_requested() -> bool {
-    SIGNAL_SHUTDOWN.load(Ordering::SeqCst)
-}
-
-/// The daemon main loop shared by `fixd` and `fixdb serve`: installs the
-/// signal handlers, sleeps until a signal arrives, then drains `handle`
-/// gracefully. Returns when the server is fully stopped.
-pub fn run_until_signal(handle: ServerHandle) {
+/// Installs the signal handlers, sleeps until a signal arrives, then
+/// drains `handle` gracefully. Returns when the server is fully stopped.
+fn run_until_signal(handle: ServerHandle) {
     install_signal_handlers();
-    while !signal_shutdown_requested() {
+    while !SIGNAL_SHUTDOWN.load(Ordering::SeqCst) {
         std::thread::sleep(Duration::from_millis(50));
     }
     eprintln!("draining ({} queries in flight)", handle.inflight());
     handle.shutdown();
     eprintln!("clean shutdown");
+}
+
+/// The flags [`run_daemon`] accepts after `<db>`.
+pub const DAEMON_USAGE: &str =
+    "<db> [--addr HOST:PORT] [--shards N] [--max-inflight N] [--tenant-quota N]";
+
+/// The serving front door shared by `fixd` and `fixdb serve`. Parses
+/// [`DAEMON_USAGE`], opens `<db>` — a sharded manifest as-is, a single-file
+/// database resharded in memory across `--shards` (default 1)
+/// document-hash shards — serves it on `--addr` (default
+/// `127.0.0.1:7878`), prints `<prog>: serving on ADDR (...)`, and blocks
+/// until SIGTERM/SIGINT has drained it. A usage, open or bind failure is
+/// returned as a message for the caller to print.
+pub fn run_daemon(prog: &str, args: &[String]) -> Result<(), String> {
+    fn count(flag: &str, value: Option<&String>) -> Result<usize, String> {
+        value
+            .and_then(|v| v.parse().ok())
+            .ok_or_else(|| format!("{flag} needs an integer"))
+    }
+    let mut db_path: Option<&str> = None;
+    let mut cfg = ServerConfig {
+        addr: "127.0.0.1:7878".to_string(),
+        ..ServerConfig::default()
+    };
+    let mut shards = 1usize;
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        match a.as_str() {
+            "--addr" => cfg.addr = it.next().ok_or("--addr needs HOST:PORT")?.clone(),
+            "--shards" => shards = count(a, it.next())?,
+            "--max-inflight" => cfg.max_inflight = count(a, it.next())?,
+            "--tenant-quota" => cfg.tenant_quota = count(a, it.next())?,
+            // Reject unknown flags before the positional fallback, so a
+            // typoed flag cannot be silently taken as a path.
+            flag if flag.starts_with('-') => return Err(format!("unknown flag `{flag}`")),
+            _ if db_path.is_none() => db_path = Some(a),
+            other => return Err(format!("unexpected argument `{other}`")),
+        }
+    }
+    let db_path = db_path.ok_or("missing database path")?;
+    if shards == 0 {
+        return Err("--shards must be at least 1".into());
+    }
+    let db = ShardedDatabase::open_any(Path::new(db_path), shards, ShardRouter::Hash)
+        .map_err(|e| format!("cannot open {db_path}: {e}"))?;
+    let addr = cfg.addr.clone();
+    let handle = serve(&db, cfg).map_err(|e| format!("cannot bind {addr}: {e}"))?;
+    println!(
+        "{prog}: serving on {} ({} shards, {} docs)",
+        handle.addr(),
+        db.shard_count(),
+        db.doc_count()
+    );
+    io::stdout().flush().ok();
+    run_until_signal(handle);
+    Ok(())
 }
 
 fn write_http(

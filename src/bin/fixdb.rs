@@ -125,8 +125,9 @@ fn main() -> ExitCode {
                  fixdb events      <db> [--json] [--follow] [--for-ms MS] [--category C[,C…]] [--slow] [--slow-ns NS] [--seal-bytes N] [--commit FILE]...\n\
                  fixdb top         <db> [--interval SECS] [--count N]\n\
                  fixdb gen         <tcmd|dblp|xmark|treebank> [--scale S] [--out PATH]\n\
-                 fixdb serve       <db> [--addr HOST:PORT] [--shards N] [--max-inflight N] [--tenant-quota N]\n\
-                 fixdb remote-query <host:port> <xpath> [--tenant T] [--show N] [--raw] [--json]"
+                 fixdb serve       {}\n\
+                 fixdb remote-query <host:port> <xpath> [--tenant T] [--show N] [--raw] [--json]",
+                fix_server::DAEMON_USAGE
             );
             return ExitCode::FAILURE;
         }
@@ -151,6 +152,16 @@ fn open_existing(path: &str) -> Result<FixDatabase, Box<dyn std::error::Error>> 
         return Err(err(format!("no such database: {path}")));
     }
     Ok(FixDatabase::open(path)?)
+}
+
+/// The `<db>` argument of a verb that takes nothing else.
+fn lone_db_path(args: &[String]) -> Result<&str, Box<dyn std::error::Error>> {
+    match args {
+        [] => Err(err("missing database path")),
+        [db] if !db.starts_with('-') => Ok(db),
+        [flag] => Err(err(format!("unknown flag `{flag}`"))),
+        [_, extra, ..] => Err(err(format!("unexpected argument `{extra}`"))),
+    }
 }
 
 fn build(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
@@ -203,6 +214,9 @@ fn build(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
                 max_depth = d;
                 builder = builder.max_parse_depth(d);
             }
+            // Reject unknown flags before the positional fallback, so a
+            // typoed flag cannot be silently taken as an input file.
+            flag if flag.starts_with('-') => return Err(err(format!("unknown flag `{flag}`"))),
             _ if db_path.is_none() => db_path = Some(PathBuf::from(a)),
             _ => files.push(PathBuf::from(a)),
         }
@@ -215,7 +229,8 @@ fn build(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let mut coll = Collection::new();
     for f in &files {
         // Stream from disk — documents never need to fit in memory twice.
-        let file = std::io::BufReader::new(std::fs::File::open(f)?);
+        let file = std::fs::File::open(f).map_err(|e| err(format!("{}: {e}", f.display())))?;
+        let file = std::io::BufReader::new(file);
         let doc = fix::xml::parse_document_from_reader_limited(file, &mut coll.labels, max_depth)
             .map_err(|e| err(format!("{}: {e}", f.display())))?;
         coll.add_document(doc);
@@ -814,7 +829,7 @@ fn insert(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 /// `fixdb compact`: explicitly folds the delta run into the base B+-tree
 /// (the automatic trigger is `FixOptions::compact_ratio`).
 fn compact(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    let db_path = args.first().ok_or_else(|| err("missing database path"))?;
+    let db_path = lone_db_path(args)?;
     let mut db = open_existing(db_path)?;
     let before = db.index().map(|i| i.delta_len()).unwrap_or(0);
     let t = Instant::now();
@@ -884,9 +899,9 @@ fn remove(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 /// `fixdb wal`: shows the write-ahead log beside the database (segments,
 /// records, sync counters) and the delta index's tier levels it feeds.
 fn wal(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    let db_path = args.first().ok_or_else(|| err("missing database path"))?;
+    let db_path = lone_db_path(args)?;
     let db = open_existing(db_path)?;
-    let wal_dir = fix::storage::wal_dir(std::path::Path::new(db_path.as_str()));
+    let wal_dir = fix::storage::wal_dir(std::path::Path::new(db_path));
     println!("log directory:     {}", wal_dir.display());
     match db.wal_stats() {
         None => println!("log:               none (no logged writes since the last checkpoint)"),
@@ -936,7 +951,7 @@ fn wal(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 }
 
 fn vacuum(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    let db_path = args.first().ok_or_else(|| err("missing database path"))?;
+    let db_path = lone_db_path(args)?;
     let mut db = open_existing(db_path)?;
     let before = db.index().map(|i| i.removed_count()).unwrap_or(0);
     db.vacuum()?;
@@ -957,7 +972,7 @@ fn vacuum(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 /// if they are not, the error points at `fixdb verify --salvage`, the
 /// offline recovery path.
 fn repair(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    let db_path = args.first().ok_or_else(|| err("missing database path"))?;
+    let db_path = lone_db_path(args)?;
     let mut db = open_existing(db_path)?;
     let quarantined = db.quarantined_pages();
     if quarantined.is_empty() {
@@ -1444,7 +1459,11 @@ fn gen(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
                     .and_then(|s| s.parse().ok())
                     .ok_or_else(|| err("--scale needs a number"))?;
             }
-            "--out" => out = it.next().map(PathBuf::from),
+            "--out" => {
+                out = Some(PathBuf::from(
+                    it.next().ok_or_else(|| err("--out needs a path"))?,
+                ));
+            }
             other => return Err(err(format!("unexpected argument `{other}`"))),
         }
     }
@@ -1475,77 +1494,11 @@ fn gen(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 }
 
 /// `fixdb serve <db> [--addr HOST:PORT] [--shards N] [--max-inflight N]
-/// [--tenant-quota N]` — put a database behind the network (same engine
-/// as the `fixd` daemon). A sharded manifest serves as-is; a single-file
-/// database is resharded in memory across `--shards` document-hash
-/// shards. Blocks until SIGTERM/SIGINT, then drains cleanly.
+/// [--tenant-quota N]` — put a database behind the network: the same
+/// front door as the `fixd` daemon. Blocks until SIGTERM/SIGINT, then
+/// drains cleanly.
 fn serve_cmd(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    let mut db_path: Option<&str> = None;
-    let mut addr = "127.0.0.1:7878".to_string();
-    let mut shards = 1usize;
-    let mut max_inflight = 64usize;
-    let mut tenant_quota = 0usize;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--addr" => {
-                addr = it
-                    .next()
-                    .ok_or_else(|| err("--addr needs HOST:PORT"))?
-                    .clone()
-            }
-            "--shards" => {
-                shards = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| err("--shards needs an integer"))?;
-            }
-            "--max-inflight" => {
-                max_inflight = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| err("--max-inflight needs an integer"))?;
-            }
-            "--tenant-quota" => {
-                tenant_quota = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| err("--tenant-quota needs an integer"))?;
-            }
-            // Reject unknown flags before the positional fallback, so a
-            // typoed flag cannot be silently taken as a path/argument.
-            flag if flag.starts_with('-') => return Err(err(format!("unknown flag `{flag}`"))),
-            _ if db_path.is_none() => db_path = Some(a),
-            other => return Err(err(format!("unexpected argument `{other}`"))),
-        }
-    }
-    let db_path = db_path.ok_or_else(|| err("missing database path"))?;
-    if shards == 0 {
-        return Err(err("--shards must be at least 1"));
-    }
-    let db = fix::ShardedDatabase::open_any(
-        std::path::Path::new(db_path),
-        shards,
-        fix::ShardRouter::Hash,
-    )
-    .map_err(|e| err(e.to_string()))?;
-    let cfg = fix_server::ServerConfig {
-        addr,
-        max_inflight,
-        tenant_quota,
-        ..fix_server::ServerConfig::default()
-    };
-    let handle = fix_server::serve(&db, cfg)?;
-    println!(
-        "fixdb: serving on {} ({} shards, {} docs)",
-        handle.addr(),
-        db.shard_count(),
-        db.doc_count()
-    );
-    use std::io::Write as _;
-    std::io::stdout().flush().ok();
-    fix_server::server::run_until_signal(handle);
-    Ok(())
+    fix_server::run_daemon("fixdb", args).map_err(err)
 }
 
 /// `fixdb remote-query <host:port> <xpath> [--tenant T] [--show N]

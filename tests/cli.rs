@@ -563,6 +563,60 @@ fn bad_usage_fails_cleanly() {
     assert_eq!(out.status.code(), Some(1));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("shard manifest"), "{stderr}");
+
+    // Arguments a verb does not take are usage errors, never ignored —
+    // and the verbs that rewrite the database must not touch it.
+    let dir = workdir("bad-usage");
+    let xml = dir.join("a.xml");
+    std::fs::write(&xml, "<a><b/></a>").unwrap();
+    let db = dir.join("db.fixdb");
+    let out = fixdb().arg("build").arg(&db).arg(&xml).output().unwrap();
+    assert!(out.status.success());
+    let image = std::fs::read(&db).unwrap();
+    for verb in ["compact", "vacuum", "repair", "wal"] {
+        let out = fixdb()
+            .arg(verb)
+            .arg(&db)
+            .args(["--bogus", "--count", "1"])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "{verb} accepted --bogus");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("--bogus"), "{verb}: {stderr}");
+        assert_eq!(std::fs::read(&db).unwrap(), image, "{verb} rewrote the db");
+    }
+
+    // A typoed build flag is not an input file; a missing input file is
+    // named in the error.
+    let out = fixdb()
+        .arg("build")
+        .arg(dir.join("typo.fixdb"))
+        .arg("--clusterd")
+        .arg(&xml)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown flag `--clusterd`"), "{stderr}");
+    let missing = dir.join("missing.xml");
+    let out = fixdb()
+        .arg("build")
+        .arg(dir.join("missing.fixdb"))
+        .arg(&missing)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("missing.xml"), "{stderr}");
+
+    // `--out` with no value is an error, not a silent write to ./tcmd.
+    let out = fixdb()
+        .args(["gen", "tcmd", "--scale", "0.01", "--out"])
+        .current_dir(&dir)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    assert!(!dir.join("tcmd").exists());
 }
 
 #[test]

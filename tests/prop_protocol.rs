@@ -9,7 +9,7 @@
 use proptest::prelude::*;
 
 use fix_server::proto::{
-    decode_request, decode_response, encode_request, encode_response, FrameReader, MAX_FRAME,
+    decode_request, decode_response, encode_request, encode_response, read_frame, MAX_FRAME,
 };
 use fix_server::{ErrorCode, Request, Response, WireMetrics};
 
@@ -194,10 +194,9 @@ proptest! {
     #[test]
     fn frame_reader_is_total(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
         let mut src: &[u8] = &bytes;
-        let mut reader = FrameReader::new();
         let mut frames = 0usize;
         loop {
-            match reader.read_frame(&mut src) {
+            match read_frame(&mut src) {
                 Ok(None) => break,          // clean EOF at a boundary
                 Ok(Some(Ok(p))) => {
                     prop_assert!(p.len() <= MAX_FRAME);
@@ -217,8 +216,7 @@ proptest! {
         let mut bytes = extra.to_le_bytes().to_vec();
         bytes.extend_from_slice(&[0u8; 8]);
         let mut src: &[u8] = &bytes;
-        let mut reader = FrameReader::new();
-        match reader.read_frame(&mut src) {
+        match read_frame(&mut src) {
             Ok(Some(Err(_))) => {}
             other => prop_assert!(false, "oversize claim must be structured, got {other:?}"),
         }

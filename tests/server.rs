@@ -7,11 +7,11 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use fix::{FixOptions, ShardRouter, ShardedDatabase};
-use fix_server::proto::{MAGIC, OP_QUERY};
-use fix_server::{serve, Client, ClientError, ErrorCode, ServerConfig};
+use fix_server::proto::{encode_request, Request, MAGIC, OP_QUERY};
+use fix_server::{serve, Client, ClientError, ErrorCode, ServerConfig, ServerHandle};
 
 const DOCS: &[&str] = &[
     "<a><b><c/></b></a>",
@@ -42,6 +42,15 @@ fn quiet_config() -> ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         ..ServerConfig::default()
     }
+}
+
+/// Shuts `handle` down and asserts the drain returned within a generous
+/// bound: a blocked connection thread must be woken, never waited out.
+fn shutdown_promptly(handle: ServerHandle, what: &str) {
+    let start = Instant::now();
+    handle.shutdown();
+    let took = start.elapsed();
+    assert!(took < Duration::from_secs(2), "{what}: drain took {took:?}");
 }
 
 #[test]
@@ -171,7 +180,7 @@ fn tenant_quota_sheds_only_the_greedy_tenant() {
 
 #[test]
 fn mid_frame_stall_does_not_desync_framing() {
-    use fix_server::proto::{decode_response, encode_request, FrameReader, Request, Response};
+    use fix_server::proto::{decode_response, read_frame, Response};
 
     let db = test_db(3);
     let handle = serve(&db, quiet_config()).unwrap();
@@ -186,18 +195,17 @@ fn mid_frame_stall_does_not_desync_framing() {
         tenant: String::new(),
         query: "//a/b".into(),
     });
-    // Stall inside the length prefix and again inside the payload, each
-    // pause several server read-timeout ticks long: the server must
-    // resume the frame where it stopped, not restart parsing mid-stream
-    // (which would misread the remaining bytes as a new frame header).
+    // Stall inside the length prefix and again inside the payload: the
+    // server must wait for the rest of the frame, not restart parsing
+    // mid-stream (which would misread the remaining bytes as a new frame
+    // header).
     for part in [&frame[..2], &frame[2..6], &frame[6..]] {
         s.write_all(part).unwrap();
         s.flush().unwrap();
         std::thread::sleep(Duration::from_millis(120));
     }
 
-    let mut fr = FrameReader::new();
-    let payload = fr.read_frame(&mut s).unwrap().unwrap().unwrap();
+    let payload = read_frame(&mut s).unwrap().unwrap().unwrap();
     match decode_response(&payload).unwrap() {
         Response::Hits { results, .. } => assert_eq!(results, want),
         other => panic!("expected hits, got {other:?}"),
@@ -205,7 +213,7 @@ fn mid_frame_stall_does_not_desync_framing() {
 
     // The connection is still in sync: a second request round-trips.
     s.write_all(&encode_request(&Request::Ping)).unwrap();
-    let p2 = fr.read_frame(&mut s).unwrap().unwrap().unwrap();
+    let p2 = read_frame(&mut s).unwrap().unwrap().unwrap();
     assert!(matches!(decode_response(&p2), Ok(Response::Pong)));
 
     handle.shutdown();
@@ -381,8 +389,9 @@ fn shutdown_drains_inflight_queries() {
     }
     assert!(handle.inflight() > 0, "query never entered");
 
-    // Shutdown must block until the in-flight query has been answered.
-    handle.shutdown();
+    // Shutdown must block until the in-flight query has been answered —
+    // and no longer than that.
+    shutdown_promptly(handle, "query in flight");
     let answered = slow
         .join()
         .unwrap()
@@ -400,6 +409,140 @@ fn shutdown_drains_inflight_queries() {
                 "server still serving after shutdown"
             );
         }
+    }
+}
+
+#[test]
+fn timed_out_client_never_returns_a_stale_answer() {
+    let db = test_db(2);
+    let cfg = ServerConfig {
+        debug_query_delay: Duration::from_millis(300),
+        ..quiet_config()
+    };
+    let handle = serve(&db, cfg).unwrap();
+    let addr = handle.addr();
+
+    let mut client = Client::connect(addr).unwrap();
+    client
+        .set_timeout(Some(Duration::from_millis(100)))
+        .unwrap();
+    match client.query("//a/b") {
+        Err(ClientError::Io(_)) => {}
+        other => panic!("expected a timeout, got {other:?}"),
+    }
+    // `//a/b`'s answer is still on its way; the timed-out connection must
+    // refuse further requests rather than hand that answer to the next.
+    client.set_timeout(Some(Duration::from_secs(10))).unwrap();
+    match client.query("//d") {
+        Err(ClientError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::NotConnected),
+        Ok(out) => panic!(
+            "stale answer {:?} for //d (want {:?})",
+            out.results,
+            local_answer(&db, "//d")
+        ),
+        Err(other) => panic!("expected NotConnected, got {other:?}"),
+    }
+    assert!(client.ping().is_err(), "a broken client stays broken");
+
+    let mut fresh = Client::connect(addr).unwrap();
+    fresh.set_timeout(Some(Duration::from_secs(10))).unwrap();
+    assert_eq!(
+        fresh.query("//d").unwrap().results,
+        local_answer(&db, "//d")
+    );
+    handle.shutdown();
+}
+
+#[test]
+fn shutdown_wakes_idle_connections() {
+    let db = test_db(2);
+    let handle = serve(&db, quiet_config()).unwrap();
+    let addr = handle.addr();
+
+    // One binary connection idle between requests, one that never sent
+    // a byte (its thread is still waiting to tell binary from HTTP).
+    let mut idle = Client::connect(addr).unwrap();
+    idle.set_timeout(Some(Duration::from_secs(10))).unwrap();
+    idle.ping().unwrap();
+    let mut silent = TcpStream::connect(addr).unwrap();
+    silent
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+
+    shutdown_promptly(handle, "idle connections");
+    // Both were closed by the server, not left hanging.
+    assert!(idle.ping().is_err());
+    let mut buf = [0u8; 1];
+    assert!(matches!(silent.read(&mut buf), Ok(0) | Err(_)));
+}
+
+#[test]
+fn shutdown_wakes_a_half_sent_http_head() {
+    let db = test_db(2);
+    let handle = serve(&db, quiet_config()).unwrap();
+    let mut s = TcpStream::connect(handle.addr()).unwrap();
+    s.write_all(b"GET /healthz HTTP/1.1\r\nHost: fi").unwrap();
+    s.flush().unwrap();
+    // Let the connection thread block on the rest of the head.
+    std::thread::sleep(Duration::from_millis(50));
+    shutdown_promptly(handle, "half-sent HTTP head");
+}
+
+#[test]
+fn shutdown_wakes_a_frame_stalled_midway() {
+    let db = test_db(2);
+    let handle = serve(&db, quiet_config()).unwrap();
+    let registry = handle.registry().clone();
+    let frame = encode_request(&Request::Query {
+        tenant: String::new(),
+        query: "//a/b".into(),
+    });
+    let mut s = TcpStream::connect(handle.addr()).unwrap();
+    s.write_all(&MAGIC).unwrap();
+    s.write_all(&frame[..6]).unwrap();
+    s.flush().unwrap();
+    std::thread::sleep(Duration::from_millis(50));
+    shutdown_promptly(handle, "frame stalled mid-payload");
+    // A request the drain cut short is not the peer's protocol error.
+    let malformed = registry.snapshot().counter("fix_server_malformed_total");
+    assert_eq!(malformed.unwrap_or(0), 0);
+}
+
+#[test]
+fn connects_racing_shutdown_are_served_or_refused() {
+    let db = test_db(2);
+    for round in 0..5 {
+        let handle = serve(&db, quiet_config()).unwrap();
+        let addr = handle.addr();
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                let stop = &stop;
+                scope.spawn(move || {
+                    // Each connect is either served or closed by the
+                    // server; the timeout only bounds a server that hangs.
+                    while !stop.load(std::sync::atomic::Ordering::SeqCst) {
+                        if let Ok(mut c) = Client::connect(addr) {
+                            c.set_timeout(Some(Duration::from_secs(5))).unwrap();
+                            if let Err(ClientError::Io(e)) = c.ping() {
+                                assert_ne!(e.kind(), std::io::ErrorKind::WouldBlock);
+                            }
+                        }
+                    }
+                });
+            }
+            std::thread::sleep(Duration::from_millis(20));
+            let start = Instant::now();
+            handle.shutdown();
+            let took = start.elapsed();
+            // Stop the racers before asserting, so a failure cannot hang
+            // the scope.
+            stop.store(true, std::sync::atomic::Ordering::SeqCst);
+            assert!(
+                took < Duration::from_secs(2),
+                "round {round}: drain took {took:?}"
+            );
+        });
     }
 }
 
