@@ -182,7 +182,7 @@ fn depth_limit(scale: f64) {
 /// 6. R-tree vs B-tree probe structures (the paper's closing future-work
 ///    item): entries examined per containment probe.
 fn rtree_probe(scale: f64) {
-    use fix_core::SpatialIndex;
+    use fix_bench::baselines::SpatialIndex;
     println!("\n6. probe structure on Treebank with extended (λ_max, σ₂) keys");
     println!("   (with the default 1-D key the B-tree is already optimal; the R-tree");
     println!("    pays off only once the key has a second independent dimension)");
@@ -217,9 +217,7 @@ fn rtree_probe(scale: f64) {
                 .expect("covered")
                 .len()
         };
-        let (rt_cands, stats) = idx
-            .candidates_spatial(&coll, &spatial, &path)
-            .expect("covered");
+        let (rt_cands, stats) = spatial.candidates(&idx, &coll, &path).expect("covered");
         assert_eq!(cands.len(), rt_cands.len(), "probe structures disagree");
         println!(
             "{:<38} {:>10} {:>14} {:>14}",
@@ -236,8 +234,8 @@ fn rtree_probe(scale: f64) {
 ///    through the navigational evaluator, the structural-join plan, and
 ///    the TwigStack holistic filter (descendant semantics for the latter).
 fn operators(scale: f64) {
-    use fix_exec::{eval_path, eval_structural, eval_twig, twigstack_filter};
-    use fix_xml::RegionIndex;
+    use fix_bench::baselines::{eval_structural, twigstack_filter, RegionIndex};
+    use fix_exec::{eval_path, eval_twig};
     use fix_xpath::TwigQuery;
     println!("7. twig operators on XMark (ms, best of 3; TwigStack = filter phase)");
     println!(

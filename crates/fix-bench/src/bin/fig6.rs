@@ -23,10 +23,10 @@
 
 use std::time::{Duration, Instant};
 
+use fix_bench::baselines::{eval_fb, FbIndex};
 use fix_bench::{ms, parse_cli, Dataset, DiskModel};
-use fix_bisim::FbIndex;
 use fix_core::FixIndex;
-use fix_exec::{eval_fb, eval_path};
+use fix_exec::eval_path;
 use fix_storage::PAGE_SIZE;
 use fix_xpath::{parse_path, TwigQuery};
 

@@ -13,10 +13,9 @@
 
 use std::time::Instant;
 
+use fix_bench::baselines::{eval_fb, FbIndex};
 use fix_bench::{metric_percentages, ms, parse_cli, Dataset};
-use fix_bisim::FbIndex;
 use fix_core::{FixIndex, FixOptions};
-use fix_exec::eval_fb;
 use fix_xpath::{parse_path, TwigQuery};
 
 const QUERIES: [(&str, &str); 2] = [

@@ -14,6 +14,12 @@
 //! All binaries take an optional `--scale <f64>` (default 1.0) and print
 //! the paper's reported numbers next to the measured ones where the paper
 //! gives them. Corpora are deterministic, so runs are reproducible.
+//!
+//! The evaluators FIX is compared against (F&B, structural joins,
+//! PathStack, TwigStack, the R-tree probe) live in [`baselines`]: they are
+//! harness code, and no engine crate links them.
+
+pub mod baselines;
 
 use std::time::{Duration, Instant};
 

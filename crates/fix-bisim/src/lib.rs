@@ -11,17 +11,16 @@
 //!   (`BISIM-TRAVELER`) used by `GEN-SUBPATTERN` to enumerate depth-`k`
 //!   subpatterns of a large document.
 //! * [`query_pattern`] — twig query → twig pattern (its bisimulation graph).
-//! * [`fb`] — the forward-&-backward bisimulation partition used by the
-//!   disk-based F&B index baseline of the experimental section.
+//!
+//! The forward-&-backward partition of the F&B index baseline lives in
+//! `fix-bench`'s `baselines` module, outside the engine.
 
 pub mod construct;
-pub mod fb;
 pub mod graph;
 pub mod query;
 pub mod traveler;
 
 pub use construct::{build_document_graph, BisimBuilder, UnitInfo};
-pub use fb::{FbClassId, FbIndex};
 pub use graph::{BisimGraph, VertexId};
 pub use query::query_pattern;
 pub use query::query_pattern_with_values;

@@ -29,7 +29,6 @@ pub mod collection;
 pub mod database;
 pub mod delta;
 pub mod error;
-pub mod estimate;
 pub mod explain;
 pub mod key;
 pub mod metrics;
@@ -39,7 +38,6 @@ pub mod plan_cache;
 pub mod query;
 pub mod session;
 pub mod shard;
-pub mod spatial;
 pub mod values;
 
 pub use batch::{WriteBatch, WriteOp};
@@ -48,7 +46,6 @@ pub use collection::{Collection, DocId};
 pub use database::{FixDatabase, RepairReport};
 pub use delta::DeltaStats;
 pub use error::FixError;
-pub use estimate::{LambdaHistogram, Plan};
 pub use explain::{BlockExplain, Explain, ExplainAnalyze};
 pub use fix_btree::LevelStats;
 pub use fix_obs::{
@@ -67,5 +64,4 @@ pub use plan_cache::{PlanCache, DEFAULT_PLAN_CACHE_CAPACITY};
 pub use query::{Candidate, QueryError, QueryHits, QueryOutcome, QueryPlan};
 pub use session::QuerySession;
 pub use shard::{ShardRouter, ShardTiming, ShardedDatabase, ShardedSession};
-pub use spatial::SpatialIndex;
 pub use values::ValueHasher;

@@ -297,9 +297,7 @@ impl FixIndex {
     }
 
     /// Compiles a query string into a reusable [`QueryPlan`] (steps 1–3 of
-    /// Algorithm 2: parse, decompose, compute features). (Named `compile`
-    /// rather than `plan` — [`FixIndex::plan`](crate::estimate) is the
-    /// histogram-based index-vs-scan decision.)
+    /// Algorithm 2: parse, decompose, compute features).
     pub fn compile(&self, coll: &Collection, query: &str) -> Result<QueryPlan, QueryError> {
         let path = parse_path(query)?;
         self.plan_path(coll, &path)

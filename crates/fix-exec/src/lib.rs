@@ -1,5 +1,5 @@
-//! Query processors: the refinement operators FIX plugs into, and the
-//! baselines it is compared against (Section 6.3).
+//! Query processors: the refinement operator FIX plugs into and the
+//! oracle it is checked against.
 //!
 //! * [`nok`] — a navigational twig/path evaluator in the style of the NoK
 //!   operator [Zhang, Kacholia, Özsu; ICDE 2004]: document-order
@@ -7,10 +7,11 @@
 //!   the no-index baseline and FIX's refinement processor.
 //! * [`twig`] — a bottom-up structural matcher over the region-encoded
 //!   document (one postorder pass, `O(|doc| · |query|)`); an independent
-//!   implementation used as the correctness oracle in tests and as an
-//!   alternative refinement operator in the ablation benches.
-//! * [`fbq`] — query evaluation over the F&B bisimulation index graph
-//!   (the clustering-index baseline, covering for branching path queries).
+//!   implementation used as the correctness oracle in tests.
+//! * [`merge`] — k-way merges of key-ordered candidate streams.
+//!
+//! The Section 6 baselines (F&B, structural joins, PathStack, TwigStack)
+//! live in `fix-bench`'s `baselines` module, outside the engine.
 //!
 //! All evaluators agree on semantics: the result of a query is the set of
 //! document nodes matched by the *output* step (the last step of the main
@@ -20,21 +21,13 @@
 //! refinement can never disagree.
 
 pub mod cancel;
-pub mod fbq;
 pub mod merge;
 pub mod nok;
-pub mod pathstack;
 pub mod refine;
-pub mod structjoin;
 pub mod twig;
-pub mod twigstack;
 
 pub use cancel::CancelToken;
-pub use fbq::eval_fb;
 pub use merge::{merge_k_sorted, merge_sorted};
 pub use nok::{anchors, eval_path, eval_path_from, path_matches, value_matches};
-pub use pathstack::{eval_pathstack, PathStackStats};
 pub use refine::Refiner;
-pub use structjoin::{eval_structural, join_pairs, semijoin_ancestors, semijoin_descendants};
 pub use twig::{eval_twig, node_satisfies, twig_matches, verify_output};
-pub use twigstack::{eval_twigstack, twigstack_filter, TwigStackStats};

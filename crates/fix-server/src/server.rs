@@ -21,8 +21,10 @@
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::os::unix::io::IntoRawFd;
+use std::os::unix::net::UnixStream;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI32, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -733,41 +735,60 @@ fn http_query_response(resp: &Response) -> (u16, String) {
 
 // ------------------------------------------------------------- daemonizing
 
-static SIGNAL_SHUTDOWN: AtomicBool = AtomicBool::new(false);
+/// Write end of the self-pipe the signal handler wakes the main thread
+/// through; `-1` until [`install_signal_handlers`] creates it.
+static SIGNAL_WAKE_FD: AtomicI32 = AtomicI32::new(-1);
 
 const SIGINT: i32 = 2;
 const SIGTERM: i32 = 15;
 
 extern "C" fn on_signal(_sig: i32) {
-    // Only async-signal-safe work here: flip the flag; the wait loop in
-    // `run_until_signal` notices.
-    SIGNAL_SHUTDOWN.store(true, Ordering::SeqCst);
+    // Only async-signal-safe work here: one write(2) to the self-pipe.
+    // The write end is nonblocking, so a full pipe drops the byte (one is
+    // already waiting) instead of blocking the handler.
+    let fd = SIGNAL_WAKE_FD.load(Ordering::SeqCst);
+    if fd >= 0 {
+        // SAFETY: `fd` is the write end `install_signal_handlers` stored
+        // and never closes, and the buffer is a live 1-byte array.
+        unsafe {
+            write(fd, [1u8].as_ptr(), 1);
+        }
+    }
 }
 
 extern "C" {
     fn signal(signum: i32, handler: usize) -> usize;
+    fn write(fd: i32, buf: *const u8, count: usize) -> isize;
 }
 
-/// Installs SIGTERM/SIGINT handlers that set [`SIGNAL_SHUTDOWN`].
-/// Hand-rolled FFI because the build environment carries no libc crate.
-fn install_signal_handlers() {
+/// Creates the self-pipe and installs SIGTERM/SIGINT handlers that write
+/// one byte to it; returns the read end. Hand-rolled FFI because the
+/// build environment carries no libc crate.
+fn install_signal_handlers() -> io::Result<UnixStream> {
+    let (wait, wake) = UnixStream::pair()?;
+    wake.set_nonblocking(true)?;
+    // The write end is never closed: a late second signal must not write
+    // into whatever file a recycled descriptor number names.
+    SIGNAL_WAKE_FD.store(wake.into_raw_fd(), Ordering::SeqCst);
     let handler = on_signal as extern "C" fn(i32) as *const () as usize;
+    // SAFETY: `on_signal` has the C handler signature and does only
+    // async-signal-safe work (an atomic load and one write(2)).
     unsafe {
         signal(SIGTERM, handler);
         signal(SIGINT, handler);
     }
+    Ok(wait)
 }
 
-/// Installs the signal handlers, sleeps until a signal arrives, then
-/// drains `handle` gracefully. Returns when the server is fully stopped.
-fn run_until_signal(handle: ServerHandle) {
-    install_signal_handlers();
-    while !SIGNAL_SHUTDOWN.load(Ordering::SeqCst) {
-        std::thread::sleep(Duration::from_millis(50));
-    }
+/// Blocks in read(2) on the self-pipe until a signal arrives, then drains
+/// `handle` gracefully. Returns when the server is fully stopped.
+fn run_until_signal(mut wait: UnixStream, handle: ServerHandle) -> io::Result<()> {
+    // `read_exact` retries the EINTR a handler run can cause.
+    wait.read_exact(&mut [0u8; 1])?;
     eprintln!("draining ({} queries in flight)", handle.inflight());
     handle.shutdown();
     eprintln!("clean shutdown");
+    Ok(())
 }
 
 /// The flags [`run_daemon`] accepts after `<db>`.
@@ -815,6 +836,10 @@ pub fn run_daemon(prog: &str, args: &[String]) -> Result<(), String> {
         .map_err(|e| format!("cannot open {db_path}: {e}"))?;
     let addr = cfg.addr.clone();
     let handle = serve(&db, cfg).map_err(|e| format!("cannot bind {addr}: {e}"))?;
+    // Handlers go in before the announcement, so a supervisor that signals
+    // as soon as it reads "serving on" always gets a drain.
+    let wait =
+        install_signal_handlers().map_err(|e| format!("cannot install signal handlers: {e}"))?;
     println!(
         "{prog}: serving on {} ({} shards, {} docs)",
         handle.addr(),
@@ -822,8 +847,7 @@ pub fn run_daemon(prog: &str, args: &[String]) -> Result<(), String> {
         db.doc_count()
     );
     io::stdout().flush().ok();
-    run_until_signal(handle);
-    Ok(())
+    run_until_signal(wait, handle).map_err(|e| format!("cannot wait for a signal: {e}"))
 }
 
 fn write_http(

@@ -15,12 +15,16 @@
 //! the reproduction; it supports the subset of XML the paper's data sets
 //! exercise (elements, attributes, character data, CDATA, comments,
 //! processing instructions, standard and numeric character references).
+//!
+//! The arena is already region-encoded (node id = preorder rank, subtree
+//! end = region end). The per-label region streams that the
+//! structural-join baselines consume are built in `fix-bench`'s
+//! `baselines` module, outside the engine.
 
 pub mod document;
 pub mod events;
 pub mod label;
 pub mod parser;
-pub mod region;
 pub mod serialize;
 pub mod stats;
 pub mod streaming;
@@ -31,7 +35,6 @@ pub use label::{LabelId, LabelTable};
 pub use parser::{
     parse_document, parse_document_limited, ParseError, Parser, RawEvent, DEFAULT_MAX_DEPTH,
 };
-pub use region::{Region, RegionIndex};
 pub use serialize::to_xml_string;
 pub use stats::DocStats;
 pub use streaming::{

@@ -7,12 +7,13 @@
 
 use std::time::Instant;
 
-use fix::bisim::FbIndex;
 use fix::core::Collection;
 use fix::datagen::{xmark, GenConfig};
-use fix::exec::{eval_fb, eval_path, eval_structural, eval_twig, eval_twigstack, twigstack_filter};
-use fix::xml::RegionIndex;
+use fix::exec::{eval_path, eval_twig};
 use fix::xpath::{parse_path, TwigQuery};
+use fix_bench::baselines::{
+    eval_fb, eval_structural, eval_twigstack, twigstack_filter, FbIndex, RegionIndex,
+};
 
 fn main() {
     let mut coll = Collection::new();

@@ -1,12 +1,9 @@
-//! Persistence and planning: build a database, save it as one `.fixdb`
-//! file, open it back, insert more documents incrementally, and let the
-//! histogram-based planner pick index-vs-scan per query.
+//! Persistence: build a database, save it as one `.fixdb` file, open it
+//! back, and insert more documents incrementally.
 //!
 //! Run with: `cargo run --release --example persistent_database`
 
-use fix::core::LambdaHistogram;
 use fix::datagen::{tcmd, GenConfig};
-use fix::xpath::parse_path;
 use fix::{FixDatabase, FixError, FixOptions};
 
 fn main() -> Result<(), FixError> {
@@ -62,20 +59,6 @@ fn main() -> Result<(), FixError> {
         added.0,
         live.stats().expect("built").entries
     );
-
-    // 4. Histogram-based planning (Section 5's cost-model suggestion).
-    let idx = live.index().expect("built");
-    let hist = LambdaHistogram::build(idx);
-    for q in [
-        "/article/epilog[acknoledgements]/references/a_id", // selective
-        "/article/prolog",                                  // matches almost everything
-    ] {
-        let qp = parse_path(q).expect("parseable");
-        let plan = idx.plan(live.collection(), &hist, &qp, 0.3);
-        let (chosen, results) = idx.query_auto(live.collection(), &hist, &qp, 0.3);
-        assert_eq!(plan, chosen);
-        println!("{q}\n  plan {plan:?} -> {} results", results.len());
-    }
 
     std::fs::remove_dir_all(&dir).ok();
     Ok(())

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! fixdb build       <db> [--depth-limit K] [--clustered] [--values BETA] [--bloom] [--paged] [--pool-pages N] [--threads N] [--max-depth D] <file.xml>...
-//! fixdb query       <db> <xpath> [--metrics] [--show N] [--plan] [--explain] [--analyze] [--trace] [--json] [--timeout-ms MS]
+//! fixdb query       <db> <xpath> [--metrics] [--show N] [--explain] [--analyze] [--trace] [--json] [--timeout-ms MS]
 //! fixdb bench-query <db> <xpath>... [--threads N] [--repeat R] [--json]
 //! fixdb add         <db> [--batch DIR] [--durability sync|group[:MS]|async] [--seal-bytes N] [--full-save] <file.xml>...   (alias: insert)
 //! fixdb remove      <db> [--durability sync|group[:MS]|async] [--full-save] <doc-id>...
@@ -112,7 +112,7 @@ fn main() -> ExitCode {
                 "usage: fixdb <build|query|bench-query|add|remove|wal|vacuum|compact|repair|verify|stats|events|top|gen|serve|remote-query> ...\n\
                  \n\
                  fixdb build       <db> [--depth-limit K] [--clustered] [--values BETA] [--bloom] [--paged] [--pool-pages N] [--threads N] [--max-depth D] <file.xml>...\n\
-                 fixdb query       <db> <xpath> [--metrics] [--show N] [--plan] [--explain] [--analyze] [--trace] [--json] [--timeout-ms MS]\n\
+                 fixdb query       <db> <xpath> [--metrics] [--show N] [--explain] [--analyze] [--trace] [--json] [--timeout-ms MS]\n\
                  fixdb bench-query <db> <xpath>... [--threads N] [--repeat R] [--json]\n\
                  fixdb add         <db> [--batch DIR] [--durability sync|group[:MS]|async] [--seal-bytes N] [--full-save] <file.xml>...   (alias: insert)\n\
                  fixdb remove      <db> [--durability sync|group[:MS]|async] [--full-save] <doc-id>...\n\
@@ -270,7 +270,6 @@ fn query(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     let mut db_path: Option<&str> = None;
     let mut xpath: Option<&str> = None;
     let mut metrics = false;
-    let mut plan = false;
     let mut explain = false;
     let mut analyze = false;
     let mut trace = false;
@@ -282,7 +281,6 @@ fn query(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--metrics" => metrics = true,
-            "--plan" => plan = true,
             "--explain" => explain = true,
             "--analyze" => analyze = true,
             "--trace" => trace = true,
@@ -311,9 +309,9 @@ fn query(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     }
     let db_path = db_path.ok_or_else(|| err("missing database path"))?;
     let xpath = xpath.ok_or_else(|| err("missing query"))?;
-    if timeout.is_some() && (plan || explain || analyze) {
+    if timeout.is_some() && (explain || analyze) {
         return Err(err(
-            "--timeout-ms applies to query execution; drop --plan/--explain/--analyze",
+            "--timeout-ms applies to query execution; drop --explain/--analyze",
         ));
     }
     let db = open_existing(db_path)?;
@@ -408,23 +406,6 @@ fn query(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
                 100.0 * m.pp(),
                 100.0 * m.fpr()
             );
-        }
-        return Ok(());
-    }
-    if plan {
-        // Histogram-based plan selection (Section 5's cost model): run
-        // whichever of index-probe or full scan the estimate prefers.
-        let idx = db.index().ok_or(FixError::NoIndex)?;
-        let path = fix::xpath::parse_path(xpath).map_err(|e| err(e.to_string()))?;
-        let hist = fix::core::LambdaHistogram::build(idx);
-        let t = std::time::Instant::now();
-        let (chosen, results) = idx.query_auto(coll, &hist, &path, 0.1);
-        println!("plan: {chosen:?}");
-        println!("{} results in {:?}", results.len(), t.elapsed());
-        for (doc, node) in results.iter().take(show) {
-            let d = coll.doc(*doc);
-            let label = coll.labels.resolve(d.label(*node).expect("element result"));
-            println!("  doc {} node {} <{}>", doc.0, node.0, label);
         }
         return Ok(());
     }

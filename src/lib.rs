@@ -19,12 +19,12 @@
 //! * [`xml`] — XML data model, parser, serializer, event streams.
 //! * [`xpath`] — the path-expression fragment, twig queries, and the
 //!   Section 5 decomposition.
-//! * [`bisim`] — bisimulation graphs (including the F&B baseline
-//!   partition) and the depth-limited subpattern traveler.
+//! * [`bisim`] — bisimulation graphs and the depth-limited subpattern
+//!   traveler.
 //! * [`spectral`] — matrix translation, eigensolver, feature extraction.
 //! * [`storage`] / [`btree`] — the paged-storage and B+-tree substrate.
-//! * [`exec`] — query evaluators: NoK-style navigation, bottom-up twig
-//!   matching, and F&B index evaluation.
+//! * [`exec`] — query evaluators: NoK-style navigation (the refinement
+//!   operator) and bottom-up twig matching (the oracle).
 //! * [`datagen`] — deterministic synthetic corpora shaped like the
 //!   paper's four data sets, plus the random query generator.
 //! * [`obs`] — observability: the metrics registry, per-query stage

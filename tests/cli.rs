@@ -1,8 +1,10 @@
 //! End-to-end CLI test: generate a corpus, build a database file, query
 //! it, inspect stats — the full `fixdb` surface a downstream user touches.
 
+use std::io::{BufRead, BufReader, Read};
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
 
 fn fixdb() -> Command {
     Command::new(env!("CARGO_BIN_EXE_fixdb"))
@@ -554,6 +556,15 @@ fn bad_usage_fails_cleanly() {
     let out = fixdb().args(["gen", "bogus"]).output().unwrap();
     assert!(!out.status.success());
 
+    // The histogram planner is gone: `--plan` is an unknown flag.
+    let out = fixdb()
+        .args(["query", "/nonexistent.fixdb", "//a", "--plan"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown flag `--plan`"), "{stderr}");
+
     // A manifest whose counts nothing on disk backs is a typed error, not
     // a `capacity overflow` panic (exit code 101).
     let manifest = workdir("bad-manifest").join("m");
@@ -617,6 +628,60 @@ fn bad_usage_fails_cleanly() {
         .unwrap();
     assert_eq!(out.status.code(), Some(1));
     assert!(!dir.join("tcmd").exists());
+}
+
+#[test]
+fn serve_drains_and_exits_cleanly_on_sigterm() {
+    let dir = workdir("serve-sigterm");
+    let xml = dir.join("a.xml");
+    std::fs::write(&xml, "<a><b/></a>").unwrap();
+    let db = dir.join("db.fixdb");
+    let out = fixdb().arg("build").arg(&db).arg(&xml).output().unwrap();
+    assert!(out.status.success());
+
+    let mut child = fixdb()
+        .arg("serve")
+        .arg(&db)
+        .args(["--addr", "127.0.0.1:0"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    // The handlers are installed before the announcement, so a signal
+    // sent once it is read always gets a drain.
+    let mut line = String::new();
+    BufReader::new(child.stdout.take().unwrap())
+        .read_line(&mut line)
+        .unwrap();
+    assert!(line.contains("serving on 127.0.0.1:"), "{line}");
+
+    let start = Instant::now();
+    let kill = Command::new("kill")
+        .args(["-TERM", &child.id().to_string()])
+        .status()
+        .unwrap();
+    assert!(kill.success());
+    let status = loop {
+        if let Some(status) = child.try_wait().unwrap() {
+            break status;
+        }
+        if start.elapsed() > Duration::from_secs(10) {
+            child.kill().ok();
+            panic!("fixdb serve still running 10 s after SIGTERM");
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    let took = start.elapsed();
+    let mut stderr = String::new();
+    child
+        .stderr
+        .take()
+        .unwrap()
+        .read_to_string(&mut stderr)
+        .unwrap();
+    assert!(status.success(), "exit {status:?}: {stderr}");
+    assert!(stderr.contains("clean shutdown"), "{stderr}");
+    assert!(took < Duration::from_secs(2), "drain took {took:?}");
 }
 
 #[test]

@@ -5,10 +5,10 @@
 
 use proptest::prelude::*;
 
-use fix::bisim::FbIndex;
-use fix::exec::{eval_fb, eval_path, eval_structural, eval_twig, eval_twigstack};
-use fix::xml::{parse_document, Document, LabelTable, RegionIndex};
+use fix::exec::{eval_path, eval_twig};
+use fix::xml::{parse_document, Document, LabelTable};
 use fix::xpath::{parse_path, Axis, PathExpr, Predicate, Step, TwigQuery};
+use fix_bench::baselines::{eval_fb, eval_structural, eval_twigstack, FbIndex, RegionIndex};
 
 fn doc_strategy() -> impl Strategy<Value = String> {
     #[derive(Debug, Clone)]
@@ -151,7 +151,7 @@ proptest! {
         labels in prop::collection::vec(0u8..5, 1..4),
         rooted in prop::bool::ANY,
     ) {
-        use fix::exec::eval_pathstack;
+        use fix_bench::baselines::eval_pathstack;
         let (d, lt) = parse(&xml);
         let mut q = String::new();
         for (i, l) in labels.iter().enumerate() {

@@ -301,6 +301,22 @@ fn sealing_stream_tiers_runs_and_replays() {
         frozen > 0 && frozen < 9,
         "9 seals must tier into fewer live runs, saw {frozen}"
     );
+    // Read amplification stays logarithmic in the seals, not linear: a
+    // scan reads the base tree, every frozen run and the unsealed tail,
+    // and a level cascades into the next at `fanout` runs, so it holds at
+    // most `fanout - 1` between merges.
+    let idx = db.index().unwrap();
+    let fanout = idx.options().tier_fanout;
+    let tail = usize::from(idx.delta_stats().tail_entries > 0);
+    let levels = db.level_stats().len();
+    let read_amp = 1 + frozen + tail;
+    let bound = (fanout - 1) * levels.max(1) + 2;
+    assert!(
+        read_amp <= bound,
+        "read amplification {read_amp} exceeds the tiering bound {bound} \
+         ({} seals, {frozen} live runs across {levels} levels)",
+        w.seals
+    );
 
     let live_len = db.len();
     let live = answers(&db);
@@ -338,6 +354,12 @@ fn durability_modes_agree_after_replay() {
             db.add_xml("<r><c/><a><b/></a></r>").unwrap();
         }
         db.remove_document(DocId(2)).unwrap();
+        // Group commit amortises fsyncs and async defers them; neither
+        // may fsync more than once per mutation (the sync ceiling).
+        let fsyncs = db.wal_stats().unwrap().fsyncs;
+        if name != "sync" {
+            assert!(fsyncs <= 5, "{name}: {fsyncs} fsyncs for 5 mutations");
+        }
         let live = answers(&db);
         drop(db);
         let db = FixDatabase::open(&path).unwrap();
